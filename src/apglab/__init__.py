@@ -15,7 +15,6 @@ from .errors import (
     OracleUnreliable,
     OutsideDomain,
     ParameterError,
-    ProxFailure,
 )
 from .problem import (
     CompositeProblem,
@@ -50,7 +49,6 @@ __all__ = [
     "OracleUnreliable",
     "OutsideDomain",
     "ParameterError",
-    "ProxFailure",
     "Schedule",
     "SmoothTerm",
     "SolverOptions",

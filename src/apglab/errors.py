@@ -34,18 +34,6 @@ class OutsideDomain(ApgError):
     """A point with h(x) = +inf was used where a finite value is required."""
 
 
-class ProxFailure(ApgError):
-    """A proximal evaluation did not produce a usable point.
-
-    Carries the inner residual reported by the failing prox so callers can
-    tell a sloppy iterative solve from a hard error.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class OracleUnreliable(ApgError):
     """The two legs of the reference-minimum solve disagree too much."""
 

@@ -53,8 +53,7 @@ class NonsmoothTerm:
     ``value`` may return +inf outside the domain. ``prox`` receives the
     point and the step size and must return the exact minimizer of
     g(u) + ||u - v||^2 / (2 gamma); built-in terms satisfy this in closed
-    form. A user-supplied iterative prox that fails to converge should
-    raise :class:`~apglab.errors.ProxFailure` with its inner residual.
+    form.
     """
 
     value: Callable[[Vector], float]
@@ -72,7 +71,10 @@ class CompositeProblem:
     or None for unknown), and ``inf_h`` for problems whose infimum is known
     but not attained (it may be ``-math.inf``).
 
-    Instances are frozen and safe to share across worker processes.
+    Instances are frozen and safe to share across worker processes. The
+    term callables must be deterministic (equal input bits give equal
+    output bits): once a run is absorbed at an exact fixed point, the
+    solvers stop calling T and h and reuse the values they repeat.
     """
 
     smooth: SmoothTerm

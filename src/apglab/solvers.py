@@ -6,6 +6,24 @@ anchor point is supplied) the Lyapunov energy E_n together with the
 deviation-vector distance used by the quasi-Fejer ledger. Runs that
 overflow are truncated and flagged diverging rather than raised, so the
 no-minimizer regimes still produce usable partial traces.
+
+Absorbing states. With a constant schedule (ISTA, or FISTA/MFISTA at a
+fixed tau) every iteration applies the same update to the state
+(x_{n-1}, y_n), and float iterates often reach an exact fixed point of it
+long before max_iters: an iteration leaves x and y bit for bit where it
+found them. Every later iteration then repeats that one, recorded row
+included, so the loop stops calling T and h, still draws each remaining
+tau from the schedule, and copies the row to the remaining record rows.
+Traces, CSVs and reports are therefore bit-identical to iterating to the
+end, assuming only that T and h are deterministic.
+``SolverTrace.absorbed_at`` names the first skipped iteration.
+
+Momentum runs (varying tau) and runs with ``SolverOptions.fast_forward``
+off, which the reference oracle sets, iterate to the end. Whether an
+instance reaches an exact fixed point is luck of the float draw, so a skip
+there would make the cost of the same workload swing several-fold from
+one seed-drawn instance to the next (see
+:func:`apglab.diagnostics.reference_min`).
 """
 
 import math
@@ -22,6 +40,9 @@ CSV_HEADER = "n,tau_n,alpha_n,h_xn,sigma_n,step_norm,x_norm,key_residual,lyapuno
 
 ALGORITHMS = ("ista", "fista", "mfista")
 
+# Recorded float columns of SolverTrace, in the order of one record row.
+_COLUMNS = ("tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov", "fejer_dist")
+
 ISTA_SCHEDULE = {"kind": "constant", "tau": 1.0}
 
 
@@ -32,7 +53,9 @@ class SolverOptions:
     anchor is a point of dom h used for Lyapunov/Fejer ledgers (normally a
     known or oracle minimizer); anchor_h is its objective value, computed
     on demand when omitted. Stops are off by default because several
-    checked properties concern non-convergent runs.
+    checked properties concern non-convergent runs. fast_forward lets a
+    constant-schedule run skip its iterations after it is absorbed at an
+    exact fixed point (module docstring); the trace is the same either way.
     """
 
     max_iters: int
@@ -43,6 +66,7 @@ class SolverOptions:
     stop_step_norm: Optional[float] = None
     stop_h_gap: Optional[float] = None
     divergence_threshold: float = 1e150
+    fast_forward: bool = True
 
 
 @dataclass
@@ -82,6 +106,7 @@ class SolverTrace:
     diverging: bool = False
     truncated_at: Optional[int] = None
     stopped_at: Optional[int] = None
+    absorbed_at: Optional[int] = None
 
     @property
     def displacement(self) -> Optional[np.ndarray]:
@@ -114,6 +139,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     gamma = problem.gamma
     monotone = algorithm == "mfista"
     sched = schedule.clone()
+    fast_forward = options.fast_forward and sched.kind == "constant"
     x0 = (
         np.zeros(problem.dim)
         if options.x0 is None
@@ -122,13 +148,20 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     anchor, anchor_h = _resolve_anchor(problem, options)
     anchored = anchor is not None
 
+    def ledger(tau: float, h_x: float, lead: np.ndarray, x_prev: np.ndarray):
+        """Anchored Lyapunov energy E_n and deviation distance (NaN when unanchored)."""
+        if not anchored:
+            return math.nan, math.nan
+        u = tau * lead - (tau - 1.0) * x_prev - anchor
+        u_sq = float(u @ u)
+        lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
+        return lyap, math.nan if monotone else math.sqrt(u_sq)
+
     n_iters = options.max_iters
-    cap = 2 + n_iters // options.record_every
+    every = options.record_every
+    cap = 2 + n_iters // every
     col_n = np.zeros(cap, dtype=np.int64)
-    cols = {
-        name: np.full(cap, math.nan)
-        for name in ("tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov", "fejer_dist")
-    }
+    rows = np.full((cap, len(_COLUMNS)), math.nan)
     cursor = 0
 
     x_prev = x0
@@ -140,6 +173,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     diverging = False
     truncated_at: Optional[int] = None
     stopped_at: Optional[int] = None
+    absorbed_at: Optional[int] = None
     final_x: Optional[np.ndarray] = None
     final_x_prev: Optional[np.ndarray] = None
 
@@ -177,16 +211,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
 
         tau_next = sched.next_tau()
         alpha = (tau - 1.0) / tau_next
-
-        if anchored:
-            lead = z if monotone else x
-            u = tau * lead - (tau - 1.0) * x_prev - anchor
-            u_sq = float(u @ u)
-            lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
-            fejer = math.nan if monotone else math.sqrt(u_sq)
-        else:
-            lyap = math.nan
-            fejer = math.nan
+        lead = z if monotone else x
 
         if n == 1:
             x1 = x.copy()
@@ -200,49 +225,53 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         if stop:
             stopped_at = n
 
-        if n == 1 or n == n_iters or n % options.record_every == 0 or stop:
+        if n == 1 or n == n_iters or n % every == 0 or stop:
             col_n[cursor] = n
-            cols["tau"][cursor] = tau
-            cols["alpha"][cursor] = alpha
-            cols["h"][cursor] = h_x
-            cols["sigma"][cursor] = sigma
-            cols["step_norm"][cursor] = step_norm
-            cols["x_norm"][cursor] = x_norm
-            cols["key_residual"][cursor] = key
-            cols["lyapunov"][cursor] = lyap
-            cols["fejer_dist"][cursor] = fejer
+            rows[cursor] = (tau, alpha, h_x, sigma, step_norm, x_norm, key, *ledger(tau, h_x, lead, x_prev))
             cursor += 1
 
         if monotone:
-            y = x + (tau / tau_next) * (z - x) + alpha * (x - x_prev)
+            y_next = x + (tau / tau_next) * (z - x) + alpha * (x - x_prev)
         else:
-            y = x + alpha * step
+            y_next = x + alpha * step
+
+        # Absorbing-state test (module docstring); a zero step norm is the
+        # free gate, the bytes decide.
+        absorbed = (fast_forward and step_norm == 0.0
+                    and x.tobytes() == x_prev.tobytes() and y_next.tobytes() == y.tobytes())
 
         final_x_prev = x_prev
         final_x = x
         x_prev = x
         h_prev = h_x
+        y = y_next
         tau = tau_next
         if stop:
             break
+        if absorbed and n < n_iters:
+            absorbed_at = n + 1
+            break
 
+    if absorbed_at is not None:
+        # Every remaining iteration repeats the last one, row included.
+        row = (tau, alpha, h_x, sigma, step_norm, x_norm, key, *ledger(tau, h_x, lead, x_prev))
+        for n in range(absorbed_at, n_iters + 1):
+            sched.next_tau()
+            if n == n_iters or n % every == 0:
+                col_n[cursor] = n
+                rows[cursor] = row
+                cursor += 1
+
+    columns = {name: rows[:cursor, j].copy() for j, name in enumerate(_COLUMNS)}
     return SolverTrace(
         algorithm=algorithm,
         problem_name=problem.name,
         schedule_spec=sched.spec,
         gamma=gamma,
         max_iters=n_iters,
-        record_every=options.record_every,
+        record_every=every,
         n=col_n[:cursor].copy(),
-        tau=cols["tau"][:cursor].copy(),
-        alpha=cols["alpha"][:cursor].copy(),
-        h=cols["h"][:cursor].copy(),
-        sigma=cols["sigma"][:cursor].copy(),
-        step_norm=cols["step_norm"][:cursor].copy(),
-        x_norm=cols["x_norm"][:cursor].copy(),
-        key_residual=cols["key_residual"][:cursor].copy(),
-        lyapunov=cols["lyapunov"][:cursor].copy(),
-        fejer_dist=cols["fejer_dist"][:cursor].copy(),
+        **columns,
         x0=x0,
         x1=x1,
         h1=h1,
@@ -254,6 +283,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         diverging=diverging,
         truncated_at=truncated_at,
         stopped_at=stopped_at,
+        absorbed_at=absorbed_at,
     )
 
 
@@ -298,34 +328,27 @@ def run_algorithm(problem: CompositeProblem, algorithm: str, schedule_spec: Opti
     raise ParameterError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
+# Rows per write: the cells of one chunk stay near 0.3 MB however long the
+# trace is; larger chunks measured slower.
+_CSV_CHUNK = 512
+
+
 def _format_cell(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    return repr(float(v))
+    return "" if math.isnan(v) else repr(v)
 
 
 def write_trace_csv(trace: SolverTrace, path) -> None:
     """Serialize the recorded columns; floats use shortest round-trip form."""
-    rows = [CSV_HEADER]
-    for i in range(trace.n.size):
-        rows.append(
-            ",".join(
-                (
-                    str(int(trace.n[i])),
-                    repr(float(trace.tau[i])),
-                    repr(float(trace.alpha[i])),
-                    repr(float(trace.h[i])),
-                    repr(float(trace.sigma[i])),
-                    repr(float(trace.step_norm[i])),
-                    repr(float(trace.x_norm[i])),
-                    _format_cell(float(trace.key_residual[i])),
-                    _format_cell(float(trace.lyapunov[i])),
-                )
-            )
-        )
+    floats = (trace.tau, trace.alpha, trace.h, trace.sigma, trace.step_norm, trace.x_norm)
+    optional = (trace.key_residual, trace.lyapunov)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(rows))
-        fh.write("\n")
+        fh.write(CSV_HEADER + "\n")
+        for lo in range(0, trace.n.size, _CSV_CHUNK):
+            hi = lo + _CSV_CHUNK
+            cells = [map(str, trace.n[lo:hi].tolist())]
+            cells += [map(repr, col[lo:hi].tolist()) for col in floats]
+            cells += [map(_format_cell, col[lo:hi].tolist()) for col in optional]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def read_trace_csv(path) -> dict:

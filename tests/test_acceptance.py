@@ -192,9 +192,9 @@ def test_c12_rate_fitter_calibration(capsys):
 
 
 def test_c13_byte_identical_reruns(capsys, suite, tmp_path):
-    with stamped(capsys, 13, "rerunning the suite reproduces every CSV byte"):
+    with stamped(capsys, 13, "rerunning the suite reproduces every CSV and report byte"):
         again = tmp_path / "again"
         assert cli.main(["run", str(SUITE_CONFIG), "--out", str(again), "--jobs", "4"]) == 0
         for run in suite_runs():
-            name = run["name"]
-            assert (again / f"{name}.csv").read_bytes() == suite.csv(name).read_bytes(), name
+            for name in (f"{run['name']}.csv", f"{run['name']}.report.json"):
+                assert (again / name).read_bytes() == (suite.out_dir / name).read_bytes(), name

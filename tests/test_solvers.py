@@ -195,6 +195,24 @@ def test_csv_round_trip_preserves_values_and_gaps(tmp_path):
     assert ",," in text.splitlines()[1] or text.splitlines()[1].endswith(",")
 
 
+def test_csv_chunks_match_row_by_row_format(tmp_path):
+    # 9000 rows span many write chunks; the unanchored run leaves empty cells
+    p = build_problem(LASSO)
+    for anchor in (None, np.zeros(p.dim)):
+        trace = fista_run(p, {"kind": "classical"}, SolverOptions(max_iters=9000, anchor=anchor))
+        lines = [CSV_HEADER]
+        for i in range(trace.n.size):
+            cells = [str(int(trace.n[i]))]
+            cells += [repr(float(getattr(trace, c)[i]))
+                      for c in ("tau", "alpha", "h", "sigma", "step_norm", "x_norm")]
+            cells += ["" if math.isnan(v) else repr(float(v))
+                      for v in (trace.key_residual[i], trace.lyapunov[i])]
+            lines.append(",".join(cells))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
