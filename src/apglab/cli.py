@@ -19,6 +19,7 @@ import numpy as np
 from .catalog import build_problem
 from .config import RunSpec, parse_config
 from .diagnostics import (
+    ReferenceInfo,
     attouch_delta_bound,
     build_report,
     failed_checks,
@@ -86,12 +87,20 @@ def _validate_run(run: RunSpec) -> None:
             )
 
 
-def _execute_run(run: RunSpec, out_dir: str) -> dict:
+def _problem_key(run: RunSpec) -> tuple:
+    """Runs with equal keys share one reference solve."""
+    return json.dumps(run.problem, sort_keys=True), run.oracle_budget
+
+
+def _resolve_run_reference(run: RunSpec) -> ReferenceInfo:
+    """Worker for one distinct problem: its reference minimum."""
+    cache_key, budget = _problem_key(run)
+    return resolve_reference(build_problem(run.problem), budget=budget, cache_key=cache_key)
+
+
+def _execute_run(run: RunSpec, reference: ReferenceInfo, out_dir: str) -> dict:
     """Worker for one run: solve, write trace CSV + report JSON."""
     problem = build_problem(run.problem)
-    cache_key = json.dumps(run.problem, sort_keys=True)
-    reference = resolve_reference(problem, budget=run.oracle_budget, cache_key=cache_key)
-
     anchor = reference.witness if run.anchor == "auto" else None
     options = SolverOptions(
         max_iters=run.max_iters,
@@ -121,6 +130,20 @@ def _execute_run(run: RunSpec, out_dir: str) -> dict:
     }
 
 
+def _run_all(mapper, runs: list, out_dir: str) -> list:
+    """Resolve one reference per distinct problem, then execute every run.
+
+    mapper is the builtin map or a process pool's map; with a pool, the
+    reference solves of distinct problems run side by side.
+    """
+    keys = [_problem_key(run) for run in runs]
+    firsts = {}
+    for key, run in zip(keys, runs):
+        firsts.setdefault(key, run)
+    references = dict(zip(firsts, mapper(_resolve_run_reference, firsts.values())))
+    return list(mapper(_execute_run, runs, [references[key] for key in keys], itertools.repeat(out_dir)))
+
+
 def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
@@ -140,9 +163,9 @@ def cmd_run(args) -> int:
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_execute_run, cfg.runs, itertools.repeat(out_dir)))
+                results = _run_all(pool.map, cfg.runs, out_dir)
         else:
-            results = [_execute_run(run, out_dir) for run in cfg.runs]
+            results = _run_all(map, cfg.runs, out_dir)
     except OracleUnreliable as exc:
         return _fail(str(exc), EXIT_ORACLE)
     except (ParameterError, AdmissibilityError) as exc:

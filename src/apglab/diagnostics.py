@@ -95,13 +95,18 @@ def reference_min(problem: CompositeProblem, budget: int = 50_000) -> OracleResu
 
     Both stages run their whole budget: stage 1 turns the solvers'
     fast-forward off (see :mod:`apglab.solvers`), and stage 2's momentum
-    schedule never takes it. A solve then costs the same on every instance
-    of a size. Skipping would make one seed-drawn lasso instance ten times
-    cheaper than the next, depending only on whether its float iterates
-    happen to land on an exact fixed point. When stage 1 does end on one,
-    stage 2 starts there and stays, so ``error_bar`` is the agreement of
-    two equal values, 0.0, and proves nothing about the distance to min h;
-    a certified bound is still open work.
+    schedule never takes it. Skipping would make one seed-drawn lasso
+    instance ten times cheaper than the next, depending only on whether its
+    float iterates happen to land on an exact fixed point. When stage 1 does
+    end on one, stage 2 starts there and stays, so ``error_bar`` is the
+    agreement of two equal values, 0.0, and proves nothing about the
+    distance to min h; a certified bound is still open work.
+
+    Cost. A solve costs the same on every instance of a size: 2 * budget
+    applications of T and h. Each stage records a single row, so its
+    iterations skip the per-row diagnostic columns, a saving that is also
+    the same on every instance. ``apg run`` solves each distinct problem
+    (spec and budget) once, before it dispatches any run.
     """
     if problem.argmin_nonempty is False:
         raise OracleNotApplicable(f"{problem.name}: flagged as having no minimizer")

@@ -29,6 +29,9 @@ class AdmissibilityError(ApgError):
         super().__init__(message)
         self.index = index
 
+    def __reduce__(self):  # pool workers send errors back pickled
+        return type(self), (str(self), self.index)
+
 
 class OutsideDomain(ApgError):
     """A point with h(x) = +inf was used where a finite value is required."""
@@ -40,6 +43,9 @@ class OracleUnreliable(ApgError):
     def __init__(self, message: str, disagreement: float):
         super().__init__(message)
         self.disagreement = disagreement
+
+    def __reduce__(self):  # pool workers send errors back pickled
+        return type(self), (str(self), self.disagreement)
 
 
 class OracleNotApplicable(ApgError):

@@ -137,6 +137,26 @@ def forward_backward_step(problem: CompositeProblem, y: Vector) -> Vector:
     return as_point(out, problem.dim, what=f"prox of {problem.nonsmooth.name!r}")
 
 
+def vector_norm(v: Vector) -> float:
+    """Euclidean norm of a 1-D float vector.
+
+    Bit for bit the value of ``np.linalg.norm``, which takes
+    sqrt(v.dot(v)) for such a vector, without its argument dispatch.
+    """
+    return math.sqrt(float(v.dot(v)))
+
+
+def descent_slack(gamma: float, h_x: float, h_ty: float, x: Vector, y: Vector, ty: Vector) -> float:
+    """Slack of the one-step descent inequality from values already at hand.
+
+    (h(x) - h(Ty)) - (<y - Ty, x - y> + ||y - Ty||^2 / 2) / gamma: the
+    formula behind :func:`key_inequality_residual` and the solvers'
+    ``key_residual`` column. h(x) and h(Ty) must be finite.
+    """
+    d = y - ty
+    return (h_x - h_ty) - (float(d @ (x - y)) + 0.5 * float(d @ d)) / gamma
+
+
 def key_inequality_residual(problem: CompositeProblem, x: Vector, y: Vector) -> float:
     """Residual of the one-step descent inequality at the pair (x, y).
 
@@ -157,13 +177,10 @@ def key_inequality_residual(problem: CompositeProblem, x: Vector, y: Vector) -> 
     if not math.isfinite(hx):
         raise OutsideDomain("reference point outside dom h")
     ty = forward_backward_step(problem, y)
-    hty = evaluate_h(problem, ty)
-    displacement = y - ty
-    lhs = (float(displacement @ (x - y)) + 0.5 * float(displacement @ displacement)) / problem.gamma
-    return (hx - hty) - lhs
+    return descent_slack(problem.gamma, hx, evaluate_h(problem, ty), x, y, ty)
 
 
 def fixed_point_residual(problem: CompositeProblem, x: Vector) -> float:
     """Distance ||T(x) - x||, zero exactly at minimizers of h."""
     x = as_point(x, problem.dim)
-    return float(np.linalg.norm(forward_backward_step(problem, x) - x))
+    return vector_norm(forward_backward_step(problem, x) - x)

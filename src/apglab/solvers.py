@@ -7,6 +7,16 @@ deviation-vector distance used by the quasi-Fejer ledger. Runs that
 overflow are truncated and flagged diverging rather than raised, so the
 no-minimizer regimes still produce usable partial traces.
 
+Recorded rows only. The diagnostic columns (sigma, key residual, the
+anchored ledger, and the step norm where no stop test or absorption gate
+reads it) are computed only on iterations that write a row, and on the
+iteration whose row an absorbed run copies forward. Every other iteration
+computes what the iteration itself needs: T y, h(T y), MFISTA's
+accept/reject, the iterate norm for the divergence test, the next tau and
+alpha, y_{n+1} and the stop tests. A sparser ``record_every`` therefore
+also makes a long run cheaper, and the recorded rows are bit-identical to
+those of a loop that computes every column at every iteration.
+
 Absorbing states. With a constant schedule (ISTA, or FISTA/MFISTA at a
 fixed tau) every iteration applies the same update to the state
 (x_{n-1}, y_n), and float iterates often reach an exact fixed point of it
@@ -33,7 +43,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .problem import CompositeProblem, as_point, evaluate_h, forward_backward_step
+from .problem import (
+    CompositeProblem,
+    as_point,
+    descent_slack,
+    evaluate_h,
+    forward_backward_step,
+    vector_norm,
+)
 from .schedules import Schedule, canonical_schedule_spec, make_schedule
 
 CSV_HEADER = "n,tau_n,alpha_n,h_xn,sigma_n,step_norm,x_norm,key_residual,lyapunov_E"
@@ -56,6 +73,9 @@ class SolverOptions:
     checked properties concern non-convergent runs. fast_forward lets a
     constant-schedule run skip its iterations after it is absorbed at an
     exact fixed point (module docstring); the trace is the same either way.
+    record_every thins the trace (the first and last iterations and a stop
+    are always kept); the diagnostic columns are computed only on recorded
+    rows, so a sparse cadence also makes a long run cheaper.
     """
 
     max_iters: int
@@ -148,21 +168,19 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     anchor, anchor_h = _resolve_anchor(problem, options)
     anchored = anchor is not None
 
-    def ledger(tau: float, h_x: float, lead: np.ndarray, x_prev: np.ndarray):
-        """Anchored Lyapunov energy E_n and deviation distance (NaN when unanchored)."""
-        if not anchored:
-            return math.nan, math.nan
-        u = tau * lead - (tau - 1.0) * x_prev - anchor
-        u_sq = float(u @ u)
-        lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
-        return lyap, math.nan if monotone else math.sqrt(u_sq)
-
     n_iters = options.max_iters
     every = options.record_every
     cap = 2 + n_iters // every
     col_n = np.zeros(cap, dtype=np.int64)
     rows = np.full((cap, len(_COLUMNS)), math.nan)
     cursor = 0
+    stop_step_norm = options.stop_step_norm
+    stop_h_gap = options.stop_h_gap
+    divergence_threshold = options.divergence_threshold
+    # step_norm at every iteration only where a stop test or the absorption
+    # gate reads it; otherwise on recorded rows alone, like the other
+    # diagnostic columns
+    every_step_norm = stop_step_norm is not None or fast_forward
 
     x_prev = x0
     h_prev = evaluate_h(problem, x0)
@@ -181,64 +199,70 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         t_y = forward_backward_step(problem, y)
         h_t = evaluate_h(problem, t_y)
 
-        if math.isfinite(h_prev) and math.isfinite(h_t):
-            disp = y - t_y
-            key = (h_prev - h_t) - (float(disp @ (x_prev - y)) + 0.5 * float(disp @ disp)) / gamma
-        else:
-            key = math.nan
-
         if monotone:
             z = t_y
             if h_prev <= h_t:
                 x, h_x = x_prev, h_prev
             else:
                 x, h_x = z, h_t
-            gap_vec = z - x_prev
         else:
             z = None
             x, h_x = t_y, h_t
-            gap_vec = x - x_prev
 
-        step = x - x_prev
-        step_norm = float(np.linalg.norm(step))
-        sigma = h_x + float(gap_vec @ gap_vec) / (2.0 * gamma)
-        x_norm = float(np.linalg.norm(x))
-
-        if x_norm > options.divergence_threshold or not (math.isfinite(h_x) and math.isfinite(x_norm)):
+        x_norm = vector_norm(x)
+        if x_norm > divergence_threshold or not (math.isfinite(h_x) and math.isfinite(x_norm)):
             diverging = True
             truncated_at = n
             break
 
         tau_next = sched.next_tau()
         alpha = (tau - 1.0) / tau_next
-        lead = z if monotone else x
+        step = x - x_prev
+        step_norm = vector_norm(step) if every_step_norm else None
 
         if n == 1:
             x1 = x.copy()
             h1 = h_x
 
-        stop = False
-        if options.stop_step_norm is not None and step_norm < options.stop_step_norm:
-            stop = True
-        if options.stop_h_gap is not None and h_x - problem.known_min < options.stop_h_gap:
-            stop = True
+        stop = ((stop_step_norm is not None and step_norm < stop_step_norm)
+                or (stop_h_gap is not None and h_x - problem.known_min < stop_h_gap))
         if stop:
             stopped_at = n
 
-        if n == 1 or n == n_iters or n % every == 0 or stop:
-            col_n[cursor] = n
-            rows[cursor] = (tau, alpha, h_x, sigma, step_norm, x_norm, key, *ledger(tau, h_x, lead, x_prev))
-            cursor += 1
-
         if monotone:
-            y_next = x + (tau / tau_next) * (z - x) + alpha * (x - x_prev)
+            y_next = x + (tau / tau_next) * (z - x) + alpha * step
         else:
             y_next = x + alpha * step
 
         # Absorbing-state test (module docstring); a zero step norm is the
         # free gate, the bytes decide.
-        absorbed = (fast_forward and step_norm == 0.0
+        absorbed = (fast_forward and not stop and n < n_iters and step_norm == 0.0
                     and x.tobytes() == x_prev.tobytes() and y_next.tobytes() == y.tobytes())
+
+        record = n == 1 or n == n_iters or n % every == 0 or stop
+        if record or absorbed:
+            # The diagnostic columns; an absorbing row is copied forward.
+            if step_norm is None:
+                step_norm = vector_norm(step)
+            gap_vec = z - x_prev if monotone else step
+            sigma = h_x + float(gap_vec @ gap_vec) / (2.0 * gamma)
+            if math.isfinite(h_prev) and math.isfinite(h_t):
+                key = descent_slack(gamma, h_prev, h_t, x_prev, y, t_y)
+            else:
+                key = math.nan
+            # anchored Lyapunov energy E_n and deviation distance
+            lyap = fejer = math.nan
+            if anchored:
+                u = tau * (z if monotone else x) - (tau - 1.0) * x_prev - anchor
+                u_sq = float(u @ u)
+                lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
+                if not monotone:
+                    fejer = math.sqrt(u_sq)
+            row = (tau, alpha, h_x, sigma, step_norm, x_norm, key, lyap, fejer)
+            if record:
+                col_n[cursor] = n
+                rows[cursor] = row
+                cursor += 1
 
         final_x_prev = x_prev
         final_x = x
@@ -248,13 +272,12 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         tau = tau_next
         if stop:
             break
-        if absorbed and n < n_iters:
+        if absorbed:
             absorbed_at = n + 1
             break
 
     if absorbed_at is not None:
         # Every remaining iteration repeats the last one, row included.
-        row = (tau, alpha, h_x, sigma, step_norm, x_norm, key, *ledger(tau, h_x, lead, x_prev))
         for n in range(absorbed_at, n_iters + 1):
             sched.next_tau()
             if n == n_iters or n % every == 0:

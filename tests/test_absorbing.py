@@ -1,10 +1,15 @@
-"""The absorbing-state fast-forward must be invisible in every trace.
+"""The solver's shortcuts must be invisible in every trace.
 
+Two shortcuts are covered: the absorbing-state fast-forward, and the
+diagnostic columns being computed only on iterations that write a row.
 Each case runs the solver and the naive reference loop from helpers.py,
-which applies T and h at every iteration, and requires the two to agree
-bit for bit: every recorded column, the first iterate, the end points
-and the stop/truncation markers. Only constant-schedule runs fast-forward;
-momentum runs are covered to show they still match and never skip.
+which applies T and h and computes every column at every iteration, and
+requires the two to agree bit for bit: every recorded column, the first
+iterate, the end points and the stop/truncation markers. Only
+constant-schedule runs fast-forward; momentum runs are covered to show
+they still match and never skip. Sparse record cadences, stops and
+truncations that fall between recorded rows, and the reference oracle
+check the gating.
 """
 
 import json
@@ -76,14 +81,15 @@ def assert_matches_naive(trace, ref):
 
 @pytest.mark.parametrize("problem_name", sorted(PROBLEMS))
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("record_every", [1, 7, 1000, "max"])
 @pytest.mark.parametrize("anchored", [False, True])
 def test_trace_matches_naive_loop(problem_name, case, record_every, anchored):
     spec, max_iters, absorbs = PROBLEMS[problem_name]
     algorithm, schedule = CASES[case]
     problem = build_problem(spec)
     anchor = np.linspace(0.0, 1.0, problem.dim) if anchored else None
-    options = SolverOptions(max_iters=max_iters, record_every=record_every, anchor=anchor)
+    every = max_iters if record_every == "max" else record_every
+    options = SolverOptions(max_iters=max_iters, record_every=every, anchor=anchor)
     trace = run_algorithm(problem, algorithm, schedule, options)
     assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
     assert (trace.absorbed_at is not None) == (absorbs and case in ABSORBING)
@@ -224,3 +230,55 @@ def test_frozen_x_is_not_absorbed_while_y_moves():
     assert set(trace.key_residual.tolist()) == {-3.0, -4.0}
     assert trace.absorbed_at == 4
     assert_matches_naive(trace, naive_run(problem, "mfista", CONST2, options))
+
+
+def _between_rows(n: int, options) -> bool:
+    """True when iteration n writes no row except for the stop itself."""
+    return n != 1 and n != options.max_iters and n % options.record_every != 0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_step_norm_stop_between_recorded_rows_matches_naive(case):
+    algorithm, schedule = CASES[case]
+    problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
+    options = SolverOptions(max_iters=9_000, record_every=1000, stop_step_norm=1e-6)
+    trace = run_algorithm(problem, algorithm, schedule, options)
+    assert trace.stopped_at is not None and _between_rows(trace.stopped_at, options)
+    assert trace.n[-1] == trace.stopped_at
+    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_h_gap_stop_between_recorded_rows_matches_naive(case):
+    algorithm, schedule = CASES[case]
+    problem = build_problem(PROBLEMS["quad2"][0])
+    options = SolverOptions(max_iters=600, record_every=100, stop_h_gap=1e-9,
+                            anchor=problem.known_argmin)
+    trace = run_algorithm(problem, algorithm, schedule, options)
+    assert trace.stopped_at is not None and _between_rows(trace.stopped_at, options)
+    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
+
+
+@pytest.mark.parametrize("algorithm", ["fista", "mfista"])
+def test_divergence_between_recorded_rows_matches_naive(algorithm):
+    # x_n grows like n^2 on affine descent under classical momentum
+    problem = build_problem({"name": "affine-descent"})
+    options = SolverOptions(max_iters=5_000, record_every=100, divergence_threshold=1e5)
+    trace = run_algorithm(problem, algorithm, CLASSICAL, options)
+    assert trace.diverging and _between_rows(trace.truncated_at, options)
+    assert trace.n[-1] < trace.truncated_at
+    assert_matches_naive(trace, naive_run(problem, algorithm, CLASSICAL, options))
+
+
+@pytest.mark.parametrize("problem_name, budget", [("lasso-d10-s1", 9_000), ("boxquad", 200)])
+def test_reference_min_matches_two_stage_naive_loop(problem_name, budget):
+    problem = build_problem(PROBLEMS[problem_name][0])
+    oracle = reference_min(problem, budget=budget)
+    stage1 = naive_run(problem, "ista", None, SolverOptions(max_iters=budget, record_every=budget))
+    stage2 = naive_run(problem, "mfista", CLASSICAL,
+                       SolverOptions(max_iters=budget, record_every=budget, x0=stage1["final_x"]))
+    h_ista, h_mf = stage1["h"][-1], stage2["h"][-1]
+    best, witness = (h_ista, stage1["final_x"]) if h_ista <= h_mf else (h_mf, stage2["final_x"])
+    for got, want in ((oracle.min_h, best), (oracle.ista_value, h_ista), (oracle.mfista_value, h_mf)):
+        assert _bits(np.float64(got)) == _bits(np.float64(want))
+    assert oracle.argmin.tobytes() == witness.tobytes()

@@ -1,11 +1,12 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apglab import cli
+from apglab import cli, diagnostics
 
 
 def write_config(path: Path, runs, out_dir=None) -> Path:
@@ -95,6 +96,48 @@ def test_parallel_runs_are_byte_identical_to_sequential(tmp_path, mini_config):
     assert cli.main(["run", str(mini_config), "--jobs", "2", "--out", str(par_dir)]) == 0
     for csv in sorted(seq_dir.glob("*.csv")):
         assert csv.read_bytes() == (par_dir / csv.name).read_bytes()
+
+
+LASSO_RUN = {
+    "problem": {"name": "lasso", "dim": 6, "seed": 9},
+    "algorithm": "fista",
+    "schedule": {"kind": "classical"},
+    "max_iters": 200,
+    "oracle_budget": 5_000,
+}
+
+
+def test_run_solves_each_distinct_oracle_once(tmp_path, monkeypatch):
+    # each solve appends a line to a file, so forked pool workers, which
+    # inherit the patched oracle, count too
+    solves = tmp_path / "solves.txt"
+    solve = diagnostics.reference_min
+
+    def counting_solve(problem, budget):
+        with open(solves, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return solve(problem, budget)
+
+    monkeypatch.setattr(diagnostics, "reference_min", counting_solve)
+    cfg = write_config(tmp_path / "c.json", [dict(LASSO_RUN, name=f"l{i}") for i in range(4)])
+    for jobs, out in (("2", "par"), ("1", "seq")):
+        monkeypatch.setattr(diagnostics, "_reference_cache", {})
+        assert cli.main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / out)]) == 0
+    assert len(solves.read_text().splitlines()) == 2
+    outputs = sorted((tmp_path / "seq").iterdir())
+    assert len(outputs) == 8
+    for path in outputs:
+        assert path.read_bytes() == (tmp_path / "par" / path.name).read_bytes()
+
+
+def test_parallel_unreliable_oracle_exits_4(tmp_path, capsys):
+    # a one-iteration oracle's stages disagree; the error reaches the parent
+    # through the process pool
+    runs = [dict(LASSO_RUN, name=f"u{i}", problem={"name": "lasso", "dim": 6, "seed": 20 + i},
+                 oracle_budget=1) for i in range(2)]
+    cfg = write_config(tmp_path / "c.json", runs)
+    assert cli.main(["run", str(cfg), "--jobs", "2", "--out", str(tmp_path / "out")]) == 4
+    assert "reference stages disagree" in capsys.readouterr().err
 
 
 def test_apg_seed_overrides_config_seed(tmp_path, monkeypatch):

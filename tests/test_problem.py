@@ -13,7 +13,7 @@ from apglab import (
     key_inequality_residual,
 )
 from apglab.catalog import make_affine_descent, make_indicator_box, make_l1, make_zero
-from apglab.problem import SmoothTerm, as_point, fixed_point_residual
+from apglab.problem import SmoothTerm, as_point, fixed_point_residual, vector_norm
 
 
 def quad1d(beta=1.0):
@@ -85,6 +85,48 @@ def test_key_inequality_residual_nonnegative_on_random_pairs():
         y = rng.normal(size=2) * 3.0
         worst = min(worst, key_inequality_residual(p, x, y))
     assert worst >= -1e-10
+
+
+def test_key_inequality_residual_matches_inline_formula_bitwise():
+    # the written-out formula, independent of the shared helper
+    rng = np.random.default_rng(11)
+    p = build_problem({"name": "lasso", "dim": 7, "seed": 3})
+    for _ in range(50):
+        x = rng.normal(size=7)
+        y = rng.normal(size=7)
+        ty = forward_backward_step(p, y)
+        d = y - ty
+        lhs = (float(d @ (x - y)) + 0.5 * float(d @ d)) / p.gamma
+        want = (evaluate_h(p, x) - evaluate_h(p, ty)) - lhs
+        assert np.float64(key_inequality_residual(p, x, y)).tobytes() == np.float64(want).tobytes()
+
+
+def _awkward_vectors():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 8, 9, 17, 50, 129, 1000):
+        yield rng.normal(size=size)
+        yield rng.normal(size=size) * 1e150
+        yield rng.normal(size=size) * 1e-170
+    yield np.array([-0.0, 0.0])
+    yield np.array([5e-324, -5e-324, 1e-310])
+    yield np.array([1e200, 1.0])
+    yield np.array([np.inf, 1.0])
+    yield np.array([np.nan, 1.0])
+
+
+def test_vector_norm_is_numpy_norm_bitwise():
+    for v in _awkward_vectors():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.linalg.norm(v))
+            got = vector_norm(v)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), v
+
+
+def test_l1_value_is_the_weighted_numpy_sum_bitwise():
+    g = make_l1(0.3)
+    for v in _awkward_vectors():
+        want = 0.3 * float(np.sum(np.abs(v)))
+        assert np.float64(g.value(v)).tobytes() == np.float64(want).tobytes(), v
 
 
 def test_key_inequality_outside_domain_raises():
