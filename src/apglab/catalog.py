@@ -183,7 +183,7 @@ def make_indicator_box(lower, upper) -> NonsmoothTerm:
     hi.flags.writeable = False
 
     def value(x):
-        if np.all(x >= lo) and np.all(x <= hi):
+        if (x >= lo).all() and (x <= hi).all():
             return 0.0
         return math.inf
 

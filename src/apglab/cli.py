@@ -302,8 +302,8 @@ def cmd_plotdata(args) -> int:
             keep = np.isfinite(vals)
             dat_path = out_dir / f"{path.stem}.{q}.dat"
             with open(dat_path, "w", newline="\n") as fh:
-                for ni, vi in zip(cols["n"][keep], vals[keep]):
-                    fh.write(f"{int(ni)} {float(vi)!r}\n")
+                fh.write("".join([f"{ni} {vi!r}\n"
+                                  for ni, vi in zip(cols["n"][keep].tolist(), vals[keep].tolist())]))
             written.append(dat_path)
             series.append((path.stem, n, vals))
     except (OSError, ParameterError, KeyError) as exc:

@@ -29,6 +29,8 @@ _GAMMA_SLACK = 1e-12
 
 Vector = np.ndarray
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class SmoothTerm:
@@ -74,7 +76,10 @@ class CompositeProblem:
     Instances are frozen and safe to share across worker processes. The
     term callables must be deterministic (equal input bits give equal
     output bits): once a run is absorbed at an exact fixed point, the
-    solvers stop calling T and h and reuse the values they repeat.
+    solvers stop calling T and h and reuse the values they repeat. The
+    prox must return a fresh array, or one it never writes to again: the
+    solvers keep references to the iterates of recorded rows until their
+    diagnostic columns are computed, and to the last two as end points.
     """
 
     smooth: SmoothTerm
@@ -110,8 +115,17 @@ class CompositeProblem:
             object.__setattr__(self, "known_argmin", w)
 
 
+def _is_point(x, dim: int) -> bool:
+    return type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == (dim,)
+
+
 def as_point(x, dim: int, what: str = "point") -> Vector:
-    """Coerce ``x`` to a float vector of length ``dim`` or raise."""
+    """Coerce ``x`` to a float vector of length ``dim`` or raise.
+
+    A float64 ndarray of that shape is returned as it is.
+    """
+    if _is_point(x, dim):
+        return x
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -134,27 +148,50 @@ def forward_backward_step(problem: CompositeProblem, y: Vector) -> Vector:
     y = as_point(y, problem.dim)
     step = y - problem.gamma * problem.smooth.gradient(y)
     out = problem.nonsmooth.prox(step, problem.gamma)
+    if _is_point(out, problem.dim):
+        return out
     return as_point(out, problem.dim, what=f"prox of {problem.nonsmooth.name!r}")
 
 
-def vector_norm(v: Vector) -> float:
-    """Euclidean norm of a 1-D float vector.
+def rowdot(a: np.ndarray, b: np.ndarray):
+    """Dot product of two float vectors, or of each row pair of two (m, d) stacks.
 
-    Bit for bit the value of ``np.linalg.norm``, which takes
-    sqrt(v.dot(v)) for such a vector, without its argument dispatch.
+    Every row costs one BLAS ``ddot``, the routine of a 1-D ``a @ b``, so
+    the dot of a row does not depend on the rows stacked with it: row i of
+    the result is bit for bit ``a[i] @ b[i]``. A matrix product (``a @
+    b.T``, or ``a @ c`` over the rows) may round differently. To match the
+    dot of a contiguous 1-D vector, a stack must be C-contiguous: BLAS
+    takes a row whose entries are not adjacent through its strided kernel,
+    which may round differently.
     """
-    return math.sqrt(float(v.dot(v)))
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def descent_slack(gamma: float, h_x: float, h_ty: float, x: Vector, y: Vector, ty: Vector) -> float:
+def vector_norm(v: Vector):
+    """Euclidean norm of a float vector (a float), or of each row of a stack.
+
+    sqrt(v . v): bit for bit the value of ``np.linalg.norm`` on each
+    vector. A 1-D vector takes ``v.dot(v)``, as ``np.linalg.norm`` does,
+    at half the cost of :func:`rowdot` on the per-iteration path. The two
+    differ only on a one-entry vector whose product is -0.0 (``dot`` skips
+    the sum with 0.0), which a square never is.
+    """
+    if v.ndim == 1:
+        return math.sqrt(v.dot(v))
+    return np.sqrt(rowdot(v, v))
+
+
+def descent_slack(gamma: float, h_x, h_ty, x: Vector, y: Vector, ty: Vector):
     """Slack of the one-step descent inequality from values already at hand.
 
     (h(x) - h(Ty)) - (<y - Ty, x - y> + ||y - Ty||^2 / 2) / gamma: the
     formula behind :func:`key_inequality_residual` and the solvers'
-    ``key_residual`` column. h(x) and h(Ty) must be finite.
+    ``key_residual`` column. Takes one pair (x, y) with scalar h values,
+    or (m, d) stacks with length-m value arrays, one slack per row. h(x)
+    and h(Ty) must be finite for a slack to mean anything.
     """
     d = y - ty
-    return (h_x - h_ty) - (float(d @ (x - y)) + 0.5 * float(d @ d)) / gamma
+    return (h_x - h_ty) - (rowdot(d, x - y) + 0.5 * rowdot(d, d)) / gamma
 
 
 def key_inequality_residual(problem: CompositeProblem, x: Vector, y: Vector) -> float:
@@ -177,7 +214,7 @@ def key_inequality_residual(problem: CompositeProblem, x: Vector, y: Vector) -> 
     if not math.isfinite(hx):
         raise OutsideDomain("reference point outside dom h")
     ty = forward_backward_step(problem, y)
-    return descent_slack(problem.gamma, hx, evaluate_h(problem, ty), x, y, ty)
+    return float(descent_slack(problem.gamma, hx, evaluate_h(problem, ty), x, y, ty))
 
 
 def fixed_point_residual(problem: CompositeProblem, x: Vector) -> float:

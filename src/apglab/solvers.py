@@ -7,15 +7,23 @@ deviation-vector distance used by the quasi-Fejer ledger. Runs that
 overflow are truncated and flagged diverging rather than raised, so the
 no-minimizer regimes still produce usable partial traces.
 
-Recorded rows only. The diagnostic columns (sigma, key residual, the
-anchored ledger, and the step norm where no stop test or absorption gate
-reads it) are computed only on iterations that write a row, and on the
-iteration whose row an absorbed run copies forward. Every other iteration
-computes what the iteration itself needs: T y, h(T y), MFISTA's
-accept/reject, the iterate norm for the divergence test, the next tau and
-alpha, y_{n+1} and the stop tests. A sparser ``record_every`` therefore
-also makes a long run cheaper, and the recorded rows are bit-identical to
-those of a loop that computes every column at every iteration.
+Recorded rows only, a block at a time. The diagnostic columns (sigma,
+the step norm, the key residual and the anchored ledger) are computed only
+for iterations that write a row, and for the iteration whose row an
+absorbed run copies forward. Every iteration computes what the iteration
+itself needs: T y, h(T y), MFISTA's accept/reject, the iterate norm for the
+divergence test, the step norm where a stop test or the absorption gate
+reads it, the next tau and alpha, y_{n+1} and the stop tests. A sparser
+``record_every`` therefore also makes a long run cheaper. A row to compute
+is queued (its scalars and references to x_{n-1}, y_n, T y_n and x_n), and
+every ``_BLOCK`` rows, and when the loop ends, one call computes the
+columns of the whole block from (m, d) stacks. Its dot products go through
+:func:`apglab.problem.rowdot`, one BLAS ``ddot`` per row, the routine a
+1-D ``a @ b`` uses, so no row's value depends on the rows stacked with it
+(a matrix product over the stack would round differently), and every other
+operation is elementwise. The recorded rows are therefore bit-identical to
+those of a loop that computes every column at every iteration, one row at
+a time.
 
 Absorbing states. With a constant schedule (ISTA, or FISTA/MFISTA at a
 fixed tau) every iteration applies the same update to the state
@@ -37,6 +45,7 @@ one seed-drawn instance to the next (see
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +58,7 @@ from .problem import (
     descent_slack,
     evaluate_h,
     forward_backward_step,
+    rowdot,
     vector_norm,
 )
 from .schedules import Schedule, canonical_schedule_spec, make_schedule
@@ -62,6 +72,13 @@ _COLUMNS = ("tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual",
 
 ISTA_SCHEDULE = {"kind": "constant", "tau": 1.0}
 
+# Recorded rows whose diagnostic columns are computed together (module
+# docstring). A flush costs about 60 us of numpy calls plus 1.7 us per row
+# at d = 10 or 50 (2-vCPU Xeon), against about 11 us per row computed
+# alone. At 64 rows the fixed part is under 1 us per row, and a d = 50
+# block raises a run's heap peak by about 0.05 MB (0.26 MB at 128 rows).
+_BLOCK = 64
+
 
 @dataclass
 class SolverOptions:
@@ -74,8 +91,9 @@ class SolverOptions:
     constant-schedule run skip its iterations after it is absorbed at an
     exact fixed point (module docstring); the trace is the same either way.
     record_every thins the trace (the first and last iterations and a stop
-    are always kept); the diagnostic columns are computed only on recorded
-    rows, so a sparse cadence also makes a long run cheaper.
+    are always kept); the diagnostic columns are computed only for recorded
+    rows, a block of rows at a time, so a sparse cadence also makes a long
+    run cheaper.
     """
 
     max_iters: int
@@ -181,6 +199,20 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     # gate reads it; otherwise on recorded rows alone, like the other
     # diagnostic columns
     every_step_norm = stop_step_norm is not None or fast_forward
+    # Rows queued for _diagnostic_rows, one tuple of its arguments each.
+    # They fill rows[done:] in order; an absorbing row that is not recorded
+    # goes last, at rows[cursor]. The queue is cleared as soon as its
+    # columns are stacked, which frees the per-row vectors before the block
+    # is computed.
+    pending = []
+    done = 0
+
+    def flush():
+        nonlocal done
+        columns = [np.array(col) for col in zip(*pending)]
+        pending.clear()
+        rows[done:done + len(columns[0])] = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *columns)
+        done = cursor
 
     x_prev = x0
     h_prev = evaluate_h(problem, x0)
@@ -200,13 +232,11 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         h_t = evaluate_h(problem, t_y)
 
         if monotone:
-            z = t_y
             if h_prev <= h_t:
                 x, h_x = x_prev, h_prev
             else:
-                x, h_x = z, h_t
+                x, h_x = t_y, h_t
         else:
-            z = None
             x, h_x = t_y, h_t
 
         x_norm = vector_norm(x)
@@ -230,7 +260,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
             stopped_at = n
 
         if monotone:
-            y_next = x + (tau / tau_next) * (z - x) + alpha * step
+            y_next = x + (tau / tau_next) * (t_y - x) + alpha * step
         else:
             y_next = x + alpha * step
 
@@ -241,28 +271,12 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
 
         record = n == 1 or n == n_iters or n % every == 0 or stop
         if record or absorbed:
-            # The diagnostic columns; an absorbing row is copied forward.
-            if step_norm is None:
-                step_norm = vector_norm(step)
-            gap_vec = z - x_prev if monotone else step
-            sigma = h_x + float(gap_vec @ gap_vec) / (2.0 * gamma)
-            if math.isfinite(h_prev) and math.isfinite(h_t):
-                key = descent_slack(gamma, h_prev, h_t, x_prev, y, t_y)
-            else:
-                key = math.nan
-            # anchored Lyapunov energy E_n and deviation distance
-            lyap = fejer = math.nan
-            if anchored:
-                u = tau * (z if monotone else x) - (tau - 1.0) * x_prev - anchor
-                u_sq = float(u @ u)
-                lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
-                if not monotone:
-                    fejer = math.sqrt(u_sq)
-            row = (tau, alpha, h_x, sigma, step_norm, x_norm, key, lyap, fejer)
+            pending.append((tau, alpha, h_x, x_norm, h_prev, h_t, x_prev, y, t_y, x))
             if record:
                 col_n[cursor] = n
-                rows[cursor] = row
                 cursor += 1
+            if len(pending) == _BLOCK:
+                flush()
 
         final_x_prev = x_prev
         final_x = x
@@ -276,8 +290,12 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
             absorbed_at = n + 1
             break
 
+    if pending:
+        flush()
     if absorbed_at is not None:
-        # Every remaining iteration repeats the last one, row included.
+        # Every remaining iteration repeats the last one, row included. The
+        # absorbing row sits at rows[cursor] unless it was recorded itself.
+        row = rows[cursor - 1 if record else cursor].copy()
         for n in range(absorbed_at, n_iters + 1):
             sched.next_tau()
             if n == n_iters or n % every == 0:
@@ -308,6 +326,38 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         stopped_at=stopped_at,
         absorbed_at=absorbed_at,
     )
+
+
+def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm, h_prev, h_t,
+                     x_prev, y, t_y, x) -> np.ndarray:
+    """The float columns of m queued rows, as an (m, len(_COLUMNS)) array.
+
+    tau, alpha, h_x, x_norm, h_prev and h_t (h(T y)) are length-m arrays;
+    x_prev, y, t_y and x are C-contiguous (m, d) stacks. Every dot product
+    goes through rowdot, one BLAS ddot per row, and every other operation
+    is elementwise, so each cell is bit for bit what the same formula gives
+    on the row's own vectors.
+    """
+    step = x - x_prev
+    # MFISTA's sigma measures the candidate's step, accepted or not
+    gap = t_y - x_prev if monotone else step
+    sigma = h_x + rowdot(gap, gap) / (2.0 * gamma)
+    # the key residual is NaN where h(x_prev) or h(T y) is +inf (a point
+    # outside dom h); the inf - inf there is expected
+    with np.errstate(invalid="ignore"):
+        slack = descent_slack(gamma, h_prev, h_t, x_prev, y, t_y)
+    key = np.where(np.isfinite(h_prev) & np.isfinite(h_t), slack, math.nan)
+    # anchored Lyapunov energy E_n and deviation distance
+    lyap = fejer = np.full(len(tau), math.nan)
+    if anchor is not None:
+        u = tau[:, None] * (t_y if monotone else x)
+        u -= (tau - 1.0)[:, None] * x_prev
+        u -= anchor
+        u_sq = rowdot(u, u)
+        lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
+        if not monotone:
+            fejer = np.sqrt(u_sq)
+    return np.column_stack((tau, alpha, h_x, sigma, vector_norm(step), x_norm, key, lyap, fejer))
 
 
 def fista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> SolverTrace:
@@ -374,21 +424,36 @@ def write_trace_csv(trace: SolverTrace, path) -> None:
             fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
+def _optional_cell(cell: str) -> float:
+    return float(cell) if cell else math.nan
+
+
 def read_trace_csv(path) -> dict:
-    """Load a trace CSV into column arrays; empty cells become NaN."""
+    """Load a trace CSV into column arrays; empty cells become NaN.
+
+    Only the optional columns (key_residual, lyapunov_E) may be empty. A
+    malformed cell or a row of the wrong length raises ParameterError.
+    """
+    names = CSV_HEADER.split(",")
     with open(path, "r") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ParameterError(f"{path}: unexpected trace header {header!r}")
-        raw = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    names = CSV_HEADER.split(",")
-    if not raw:
+        try:
+            with warnings.catch_warnings():
+                # a trace of no rows is empty, not malformed
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                   converters={j: _optional_cell for j in (7, 8)})
+        except ValueError as exc:
+            raise ParameterError(f"{path}: malformed trace row: {exc}") from None
+    if table.size == 0:
         return {name: np.array([]) for name in names}
-    arr = np.array(
-        [[cell if cell else "nan" for cell in row] for row in raw],
-        dtype=object,
-    )
-    out = {"n": arr[:, 0].astype(np.int64)}
+    if table.shape[1] != len(names):
+        raise ParameterError(f"{path}: expected {len(names)} cells per row, got {table.shape[1]}")
+    out = {"n": table[:, 0].astype(np.int64)}
+    if not np.array_equal(out["n"], table[:, 0]):
+        raise ParameterError(f"{path}: non-integer iteration number in column n")
     for j, name in enumerate(names[1:], start=1):
-        out[name] = arr[:, j].astype(float)
+        out[name] = table[:, j]
     return out

@@ -1,19 +1,22 @@
 """The solver's shortcuts must be invisible in every trace.
 
-Two shortcuts are covered: the absorbing-state fast-forward, and the
-diagnostic columns being computed only on iterations that write a row.
-Each case runs the solver and the naive reference loop from helpers.py,
-which applies T and h and computes every column at every iteration, and
-requires the two to agree bit for bit: every recorded column, the first
-iterate, the end points and the stop/truncation markers. Only
+Three shortcuts are covered: the absorbing-state fast-forward, the
+diagnostic columns being computed only on iterations that write a row,
+and those columns being computed a block of queued rows at a time. Each
+case runs the solver and the naive reference loop from helpers.py, which
+applies T and h and computes every column at every iteration, one row at a
+time, and requires the two to agree bit for bit: every recorded column,
+the first iterate, the end points and the stop/truncation markers. Only
 constant-schedule runs fast-forward; momentum runs are covered to show
 they still match and never skip. Sparse record cadences, stops and
 truncations that fall between recorded rows, and the reference oracle
-check the gating.
+check the gating; run lengths, stops and absorptions around a block
+boundary check the block computation.
 """
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,3 +285,85 @@ def test_reference_min_matches_two_stage_naive_loop(problem_name, budget):
     for got, want in ((oracle.min_h, best), (oracle.ista_value, h_ista), (oracle.mfista_value, h_mf)):
         assert _bits(np.float64(got)) == _bits(np.float64(want))
     assert oracle.argmin.tobytes() == witness.tobytes()
+
+
+B = solvers._BLOCK
+# h decreases strictly over the first 4 * B + 8 iterations of every case,
+# so a stop_h_gap can be placed on any one of them
+SLOW_QUAD = {"name": "quadratic", "diag": [1e-4, 1.0], "b": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("rows", [B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("anchored", [False, True])
+def test_block_boundaries_match_naive(rows, case, anchored):
+    algorithm, schedule = CASES[case]
+    problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
+    anchor = np.linspace(0.0, 1.0, problem.dim) if anchored else None
+    options = SolverOptions(max_iters=rows, anchor=anchor)
+    trace = run_algorithm(problem, algorithm, schedule, options)
+    assert trace.n.size == rows
+    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
+
+
+@pytest.mark.parametrize("stop_at", [B, B + 1], ids=["last-of-block", "first-of-block"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stop_on_block_edge_matches_naive(stop_at, case):
+    algorithm, schedule = CASES[case]
+    problem = build_problem(SLOW_QUAD)
+    full = run_algorithm(problem, algorithm, schedule, SolverOptions(max_iters=4 * B + 8))
+    gap = full.h - problem.known_min
+    assert np.all(np.diff(gap) < 0.0)
+    # the first gap below this threshold is the one at iteration stop_at
+    threshold = float(np.nextafter(gap[stop_at - 1], math.inf))
+    options = SolverOptions(max_iters=4 * B + 8, stop_h_gap=threshold, anchor=problem.known_argmin)
+    trace = run_algorithm(problem, algorithm, schedule, options)
+    assert trace.stopped_at == stop_at and trace.n.size == stop_at
+    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
+
+
+def _rows_before(n: int, every: int) -> int:
+    """Rows recorded before iteration n (no stop)."""
+    return n - 1 if every == 1 else 1 + (n - 1) // every
+
+
+@pytest.mark.parametrize("every", [1, 2], ids=["recorded", "unrecorded"])
+def test_absorption_right_after_a_flush_matches_naive(every):
+    # start ISTA k iterations along its path from 0, with k chosen so that
+    # the absorbing iteration's row opens a block: at record_every 1 it is
+    # recorded, at record_every 2 (an odd iteration) it is not
+    problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
+    absorbing = ista_run(problem, SolverOptions(max_iters=9_000)).absorbed_at - 1
+    target = 2 * B + 1 if every == 1 else 4 * B - 1
+    assert _rows_before(target, every) == 2 * B
+    start = ista_run(problem, SolverOptions(max_iters=absorbing - target)).final_x
+    options = SolverOptions(max_iters=9_000, record_every=every, x0=start)
+    trace = ista_run(problem, options)
+    assert trace.absorbed_at == target + 1
+    assert (target % every == 0) == (every == 1)
+    assert_matches_naive(trace, naive_run(problem, "ista", None, options))
+
+
+def test_mfista_rejections_inside_a_block_match_naive():
+    problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
+    options = SolverOptions(max_iters=3 * B, anchor=np.linspace(0.0, 1.0, problem.dim))
+    trace = run_algorithm(problem, "mfista", CLASSICAL, options)
+    # a rejected candidate keeps x, so its row has a zero step
+    rejected = trace.n[trace.step_norm == 0.0]
+    assert np.any(((rejected - 1) % B != 0) & ((rejected - 1) % B != B - 1))
+    assert_matches_naive(trace, naive_run(problem, "mfista", CLASSICAL, options))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_start_outside_domain_gives_nan_key_rows_without_warnings(case):
+    algorithm, schedule = CASES[case]
+    problem = build_problem(PROBLEMS["boxquad"][0])
+    options = SolverOptions(max_iters=2 * B + 1, x0=np.array([5.0, -5.0]),
+                            anchor=np.array([0.5, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_algorithm(problem, algorithm, schedule, options)
+    # h(x0) = +inf: only the first row's key residual is undefined
+    assert math.isnan(trace.key_residual[0])
+    assert np.all(np.isfinite(trace.key_residual[1:]))
+    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from apglab import cli, diagnostics
+from apglab.solvers import CSV_HEADER
 
 
 def write_config(path: Path, runs, out_dir=None) -> Path:
@@ -228,6 +229,15 @@ def test_plotdata_uses_sibling_report_reference(tmp_path, mini_config):
 
 def test_plotdata_missing_trace_exits_2(tmp_path, capsys):
     assert cli.main(["plotdata", str(tmp_path / "ghost.csv"), "--quantity", "sigma"]) == 2
+
+
+@pytest.mark.parametrize("bad_row", ["2,1.0,0.0,oops,3.0,0.5,1.5,,", "2,1.0,0.0,2.5"],
+                         ids=["non-numeric cell", "short row"])
+def test_plotdata_malformed_trace_exits_2(tmp_path, capsys, bad_row):
+    trace = tmp_path / "bad.csv"
+    trace.write_text("\n".join([CSV_HEADER, "1,1.0,0.0,2.5,3.0,0.5,1.5,,", bad_row]) + "\n")
+    assert cli.main(["plotdata", str(trace), "--quantity", "sigma", "--out", str(tmp_path / "p")]) == 2
+    assert "bad.csv" in capsys.readouterr().err
 
 
 def test_plotdata_rejects_unknown_quantity(tmp_path):

@@ -13,7 +13,7 @@ from apglab import (
     key_inequality_residual,
 )
 from apglab.catalog import make_affine_descent, make_indicator_box, make_l1, make_zero
-from apglab.problem import SmoothTerm, as_point, fixed_point_residual, vector_norm
+from apglab.problem import NonsmoothTerm, SmoothTerm, as_point, fixed_point_residual, rowdot, vector_norm
 
 
 def quad1d(beta=1.0):
@@ -43,6 +43,31 @@ def test_as_point_shapes():
     assert as_point(3.0, 1).shape == (1,)
     with pytest.raises(ParameterError):
         as_point([1.0, 2.0], 3)
+    with pytest.raises(ParameterError):
+        as_point(np.zeros((1, 3)), 3)
+
+
+def test_as_point_passes_float_vectors_through_and_converts_the_rest():
+    v = np.zeros(3)
+    assert as_point(v, 3) is v
+    for other in (np.arange(3), [0.0, 1.0, 2.0], np.zeros(3, dtype=">f8"), np.zeros(3, dtype=np.float32)):
+        got = as_point(other, 3)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (3,)
+        assert got.dtype.isnative
+
+
+def test_forward_backward_step_checks_the_prox_output():
+    def bad_prox(v, gamma):
+        return np.zeros(3)
+
+    p = CompositeProblem(smooth=quad1d(), nonsmooth=NonsmoothTerm(value=lambda x: 0.0, prox=bad_prox, name="bad"),
+                         gamma=1.0, dim=1)
+    with pytest.raises(ParameterError, match="prox of 'bad'"):
+        forward_backward_step(p, np.array([1.0]))
+    listy = CompositeProblem(smooth=quad1d(), gamma=1.0, dim=1,
+                             nonsmooth=NonsmoothTerm(value=lambda x: 0.0, prox=lambda v, gamma: [0.5]))
+    out = forward_backward_step(listy, np.array([1.0]))
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.tolist() == [0.5]
 
 
 def test_evaluate_h_outside_box_domain_is_inf():
@@ -120,6 +145,46 @@ def test_vector_norm_is_numpy_norm_bitwise():
             want = float(np.linalg.norm(v))
             got = vector_norm(v)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), v
+
+
+def _stacks(d, m):
+    """Pairs of (m, d) stacks: random rows of mixed scale, then special values."""
+    rng = np.random.default_rng(d * 1000 + m)
+    scale = 10.0 ** rng.uniform(-150, 150, size=(m, 1))
+    yield rng.normal(size=(m, d)) * scale, rng.normal(size=(m, d))
+    specials = np.array([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, 1e-310, 3e200])
+    yield rng.choice(specials, size=(m, d)), rng.choice(specials, size=(m, d))
+    yield np.full((m, d), -0.0), np.full((m, d), 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 50])
+@pytest.mark.parametrize("m", [1, 2, 7, 256])
+def test_rowdot_rows_are_one_dimensional_dots_bitwise(d, m):
+    # each row is the 1-D dot of its own vectors, whatever is stacked with it
+    for a, b in _stacks(d, m):
+        layouts = {
+            "C": (a, b),
+            # rows whose entries are not adjacent, and a column-major stack
+            "strided": (np.repeat(a, 2, axis=1)[:, ::2], np.repeat(b, 2, axis=1)[:, ::2]),
+            "F": (np.asfortranarray(a), np.asfortranarray(b)),
+        }
+        for layout, (sa, sb) in layouts.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = rowdot(sa, sb)
+                want = np.array([sa[i] @ sb[i] for i in range(m)])
+                one = [rowdot(sa[i], sb[i]) for i in range(m)]
+            assert got.shape == (m,)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=layout)
+            assert np.array(one).tobytes() == want.tobytes(), layout
+
+
+def test_vector_norm_of_a_stack_is_the_norm_of_each_row_bitwise():
+    vectors = [v for v in _awkward_vectors() if v.size == 2]
+    stack = np.array(vectors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = vector_norm(stack)
+        want = np.array([np.linalg.norm(v) for v in vectors])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_l1_value_is_the_weighted_numpy_sum_bitwise():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,57 @@ def test_csv_chunks_match_row_by_row_format(tmp_path):
         path = tmp_path / "t.csv"
         write_trace_csv(trace, path)
         assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_csv_round_trip_is_bitwise(tmp_path):
+    # 9000 rows, anchored (every cell filled) and unanchored (empty energy cells)
+    p = build_problem(LASSO)
+    columns = {"tau_n": "tau", "alpha_n": "alpha", "h_xn": "h", "sigma_n": "sigma",
+               "step_norm": "step_norm", "x_norm": "x_norm", "key_residual": "key_residual",
+               "lyapunov_E": "lyapunov"}
+    for anchor in (None, np.zeros(p.dim)):
+        trace = fista_run(p, {"kind": "classical"}, SolverOptions(max_iters=9000, anchor=anchor))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        cols = read_trace_csv(path)
+        assert list(cols) == CSV_HEADER.split(",")
+        assert cols["n"].dtype == np.int64 and np.array_equal(cols["n"], trace.n)
+        for name, attr in columns.items():
+            np.testing.assert_array_equal(_bits(cols[name]), _bits(getattr(trace, attr)), err_msg=name)
+        assert np.all(np.isnan(cols["lyapunov_E"])) == (anchor is None)
+
+
+def test_csv_of_no_rows_reads_as_empty_columns_without_warnings(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(CSV_HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = read_trace_csv(path)
+    assert list(cols) == CSV_HEADER.split(",")
+    assert all(col.size == 0 for col in cols.values())
+
+
+GOOD_ROW = "1,1.0,0.0,2.5,3.0,0.5,1.5,,"
+MALFORMED = {
+    "non-numeric cell": [GOOD_ROW, "2,1.0,0.0,oops,3.0,0.5,1.5,,"],
+    "short row": [GOOD_ROW, "2,1.0,0.0,2.5"],
+    "only short rows": ["1,1.0,0.0,2.5,3.0,0.5,1.5"],
+    "long rows": [GOOD_ROW + ",7.0"],
+    "empty required cell": ["1,1.0,,2.5,3.0,0.5,1.5,,"],
+    "fractional n": ["1.5,1.0,0.0,2.5,3.0,0.5,1.5,,"],
+}
+
+
+@pytest.mark.parametrize("rows", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_csv_malformed_rows_are_parameter_errors(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(ParameterError, match="bad.csv"):
+        read_trace_csv(path)
 
 
 def test_csv_rejects_foreign_header(tmp_path):
