@@ -33,6 +33,7 @@ from .solvers import (
     mfista_run,
     read_trace_csv,
     run_algorithm,
+    run_batch,
     write_trace_csv,
 )
 from .diagnostics import build_report, reference_min, report_to_json, resolve_reference
@@ -71,5 +72,6 @@ __all__ = [
     "report_to_json",
     "resolve_reference",
     "run_algorithm",
+    "run_batch",
     "write_trace_csv",
 ]

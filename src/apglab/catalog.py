@@ -6,7 +6,9 @@ terms usable in the ``g`` field of a problem spec: ``zero``, ``l1``,
 ``box``.
 
 Randomized instances (the lasso designs) take an explicit seed so that
-every run is reproducible byte for byte.
+every run is reproducible byte for byte. Every term also takes a (k, d)
+stack of points, row i bit for bit the call on row i (the stack contract
+in :class:`~apglab.problem.CompositeProblem`).
 """
 
 import math
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .problem import CompositeProblem, NonsmoothTerm, SmoothTerm
+from .problem import CompositeProblem, NonsmoothTerm, SmoothTerm, matvec, rowdot
 
 PROBLEM_NAMES = ("quadratic", "lasso", "affine-descent", "unattained")
 NONSMOOTH_NAMES = ("zero", "l1", "box")
@@ -62,10 +64,14 @@ def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, beta: float, 
     c.flags.writeable = False
 
     def value(x):
-        return 0.5 * float(x @ (q @ x)) - float(c @ x) + constant
+        if x.ndim == 1:
+            return 0.5 * float(x @ (q @ x)) - float(c @ x) + constant
+        return 0.5 * rowdot(x, matvec(q, x)) - rowdot(c, x) + constant
 
     def gradient(x):
-        return q @ x - c
+        if x.ndim == 1:
+            return q @ x - c
+        return matvec(q, x) - c
 
     return SmoothTerm(value=value, gradient=gradient, beta=beta, name=name)
 
@@ -114,6 +120,8 @@ def make_affine_descent() -> SmoothTerm:
     """
 
     def value(x):
+        if x.ndim > 1:
+            return np.array([value(row) for row in x])
         return -float(x[0])
 
     def gradient(x):
@@ -139,9 +147,13 @@ def make_unattained_infimum() -> SmoothTerm:
         return r - t
 
     def value(x):
+        if x.ndim > 1:
+            return np.array([value(row) for row in x])
         return _value_scalar(float(x[0]))
 
     def gradient(x):
+        if x.ndim > 1:
+            return np.array([gradient(row) for row in x])
         t = float(x[0])
         return np.array([-_value_scalar(t) / math.hypot(1.0, t)])
 
@@ -160,7 +172,9 @@ def make_l1(weight: float = 1.0) -> NonsmoothTerm:
 
     def value(x):
         # the reduction np.sum performs, without its wrapper
-        return weight * float(np.add.reduce(np.abs(x)))
+        if x.ndim == 1:
+            return weight * float(np.add.reduce(np.abs(x)))
+        return weight * np.add.reduce(np.abs(x), axis=-1)
 
     def prox(v, gamma):
         thr = gamma * weight
@@ -183,9 +197,11 @@ def make_indicator_box(lower, upper) -> NonsmoothTerm:
     hi.flags.writeable = False
 
     def value(x):
-        if (x >= lo).all() and (x <= hi).all():
-            return 0.0
-        return math.inf
+        if x.ndim == 1:
+            if (x >= lo).all() and (x <= hi).all():
+                return 0.0
+            return math.inf
+        return np.where((x >= lo).all(axis=-1) & (x <= hi).all(axis=-1), 0.0, math.inf)
 
     def prox(v, gamma):
         return np.clip(v, lo, hi)

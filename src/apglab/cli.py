@@ -40,7 +40,16 @@ from .schedules import (
     prefix,
     tau_sup_bound,
 )
-from .solvers import ALGORITHMS, SolverOptions, read_trace_csv, run_algorithm, write_trace_csv
+# run_algorithm is not called here, but stays importable under this name:
+# perfbench/tracer.py hooks apglab.cli.run_algorithm.
+from .solvers import (  # noqa: F401
+    ALGORITHMS,
+    SolverOptions,
+    read_trace_csv,
+    run_algorithm,
+    run_batch,
+    write_trace_csv,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,11 +78,18 @@ def _apply_seed_override(runs) -> None:
             run.problem = {**run.problem, "seed": seed}
 
 
-def _validate_run(run: RunSpec) -> None:
-    """Raise ParameterError/AdmissibilityError before any run executes."""
+def _validate_run(run: RunSpec, problems: dict) -> None:
+    """Raise ParameterError/AdmissibilityError before any run executes.
+
+    problems maps each _problem_key seen so far to its built problem, so
+    runs that share a problem build it once.
+    """
     if run.algorithm not in ALGORITHMS:
         raise ParameterError(f"run {run.name!r}: unknown algorithm {run.algorithm!r}")
-    problem = build_problem(run.problem)
+    key = _problem_key(run)
+    if key not in problems:
+        problems[key] = build_problem(run.problem)
+    problem = problems[key]
     if run.stop_h_gap is not None and problem.known_min is None:
         raise ParameterError(f"run {run.name!r}: stop_h_gap needs a problem with a known minimum")
     if run.schedule is not None:
@@ -88,7 +104,7 @@ def _validate_run(run: RunSpec) -> None:
 
 
 def _problem_key(run: RunSpec) -> tuple:
-    """Runs with equal keys share one reference solve."""
+    """Runs with equal keys share one problem, one reference solve and their batches."""
     return json.dumps(run.problem, sort_keys=True), run.oracle_budget
 
 
@@ -98,50 +114,72 @@ def _resolve_run_reference(run: RunSpec) -> ReferenceInfo:
     return resolve_reference(build_problem(run.problem), budget=budget, cache_key=cache_key)
 
 
-def _execute_run(run: RunSpec, reference: ReferenceInfo, out_dir: str) -> dict:
-    """Worker for one run: solve, write trace CSV + report JSON."""
-    problem = build_problem(run.problem)
-    anchor = reference.witness if run.anchor == "auto" else None
-    options = SolverOptions(
-        max_iters=run.max_iters,
-        record_every=run.record_every,
-        anchor=anchor,
-        stop_step_norm=run.stop_step_norm,
-        stop_h_gap=run.stop_h_gap,
-        divergence_threshold=run.divergence_threshold,
-    )
-    trace = run_algorithm(problem, run.algorithm, run.schedule, options)
+def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
+    """Worker for one batch of runs sharing a problem: solve, write trace CSVs + report JSONs.
 
-    csv_path = os.path.join(out_dir, f"{run.name}.csv")
-    report_path = os.path.join(out_dir, f"{run.name}.report.json")
-    write_trace_csv(trace, csv_path)
-    report = build_report(trace, problem, reference, run_name=run.name,
-                          liminf_threshold=run.liminf_threshold)
-    with open(report_path, "w", newline="\n") as fh:
-        fh.write(report_to_json(report))
-    return {
-        "name": run.name,
-        "ok": report_ok(report),
-        "failed": failed_checks(report),
-        "records": len(trace.n),
-        "diverging": trace.diverging,
-        "csv": csv_path,
-        "report": report_path,
-    }
+    The runs advance in lockstep (solvers.run_batch); each run's files are
+    written, and its trace dropped, as soon as it ends. Returns one result
+    per run, in the batch's order.
+    """
+    problem = build_problem(runs[0].problem)
+    batch = [
+        (run.algorithm, run.schedule, SolverOptions(
+            max_iters=run.max_iters,
+            record_every=run.record_every,
+            anchor=reference.witness if run.anchor == "auto" else None,
+            stop_step_norm=run.stop_step_norm,
+            stop_h_gap=run.stop_h_gap,
+            divergence_threshold=run.divergence_threshold,
+        ))
+        for run in runs
+    ]
+    results = [None] * len(runs)
+    for i, trace in run_batch(problem, batch):
+        run = runs[i]
+        csv_path = os.path.join(out_dir, f"{run.name}.csv")
+        report_path = os.path.join(out_dir, f"{run.name}.report.json")
+        write_trace_csv(trace, csv_path)
+        report = build_report(trace, problem, reference, run_name=run.name,
+                              liminf_threshold=run.liminf_threshold)
+        with open(report_path, "w", newline="\n") as fh:
+            fh.write(report_to_json(report))
+        results[i] = {
+            "name": run.name,
+            "ok": report_ok(report),
+            "failed": failed_checks(report),
+            "records": len(trace.n),
+            "diverging": trace.diverging,
+            "csv": csv_path,
+            "report": report_path,
+        }
+        # the other runs go on; only they should hold trace rows meanwhile
+        del trace, report
+    return results
 
 
-def _run_all(mapper, runs: list, out_dir: str) -> list:
+def _run_all(mapper, runs: list, out_dir: str, jobs: int) -> list:
     """Resolve one reference per distinct problem, then execute every run.
 
-    mapper is the builtin map or a process pool's map; with a pool, the
-    reference solves of distinct problems run side by side.
+    mapper is the builtin map or a process pool's map of jobs workers; with
+    a pool, the reference solves of distinct problems run side by side.
+    The runs of each problem are dealt round-robin into min(jobs, count)
+    batches, one task each. Results come back in config order.
     """
-    keys = [_problem_key(run) for run in runs]
-    firsts = {}
-    for key, run in zip(keys, runs):
-        firsts.setdefault(key, run)
-    references = dict(zip(firsts, mapper(_resolve_run_reference, firsts.values())))
-    return list(mapper(_execute_run, runs, [references[key] for key in keys], itertools.repeat(out_dir)))
+    groups = {}
+    for index, run in enumerate(runs):
+        groups.setdefault(_problem_key(run), []).append(index)
+    references = dict(zip(groups, mapper(_resolve_run_reference, [runs[g[0]] for g in groups.values()])))
+    batches = []
+    for key, members in groups.items():
+        count = min(jobs, len(members))
+        batches += [(key, members[j::count]) for j in range(count)]
+    outputs = mapper(_execute_run, [[runs[i] for i in members] for _, members in batches],
+                     [references[key] for key, _ in batches], itertools.repeat(out_dir))
+    results = [None] * len(runs)
+    for (_, members), batch_results in zip(batches, outputs):
+        for index, result in zip(members, batch_results):
+            results[index] = result
+    return results
 
 
 def cmd_run(args) -> int:
@@ -152,8 +190,9 @@ def cmd_run(args) -> int:
         return _fail(str(exc), EXIT_CONFIG)
 
     try:
+        problems = {}
         for run in cfg.runs:
-            _validate_run(run)
+            _validate_run(run, problems)
     except (ParameterError, AdmissibilityError) as exc:
         return _fail(str(exc), EXIT_PARAMS)
 
@@ -163,9 +202,9 @@ def cmd_run(args) -> int:
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = _run_all(pool.map, cfg.runs, out_dir)
+                results = _run_all(pool.map, cfg.runs, out_dir, args.jobs)
         else:
-            results = _run_all(map, cfg.runs, out_dir)
+            results = _run_all(map, cfg.runs, out_dir, 1)
     except OracleUnreliable as exc:
         return _fail(str(exc), EXIT_ORACLE)
     except (ParameterError, AdmissibilityError) as exc:

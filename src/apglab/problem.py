@@ -80,6 +80,19 @@ class CompositeProblem:
     prox must return a fresh array, or one it never writes to again: the
     solvers keep references to the iterates of recorded rows until their
     diagnostic columns are computed, and to the last two as end points.
+
+    Stacks. Every term callable takes a float vector of length ``dim`` or
+    a C-contiguous (k, dim) stack of them: ``value`` then returns one
+    value per row (an array of k, or one float that holds for every row),
+    and ``gradient`` and ``prox`` an array of the stack's shape (a
+    gradient may also return one row that holds for every row). Row i of
+    a stacked call must be bit for bit the call on row i alone, so that a
+    run's trace does not depend on the runs it is advanced with
+    (:func:`apglab.solvers.run_batch`). The built-in terms keep this by
+    being elementwise, by reducing along the last axis, by making each
+    matrix-vector product one BLAS call per row (:func:`matvec`,
+    :func:`rowdot`), or by looping over the rows; a vector takes the
+    terms' 1-D code.
     """
 
     smooth: SmoothTerm
@@ -119,6 +132,10 @@ def _is_point(x, dim: int) -> bool:
     return type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == (dim,)
 
 
+def _is_stack(x, dim: int) -> bool:
+    return type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 2 and x.shape[1] == dim
+
+
 def as_point(x, dim: int, what: str = "point") -> Vector:
     """Coerce ``x`` to a float vector of length ``dim`` or raise.
 
@@ -134,9 +151,17 @@ def as_point(x, dim: int, what: str = "point") -> Vector:
     return v
 
 
-def evaluate_h(problem: CompositeProblem, x: Vector) -> float:
-    """Evaluate h(x) = f(x) + g(x), returning +inf when x is outside dom g."""
-    x = as_point(x, problem.dim)
+def evaluate_h(problem: CompositeProblem, x: Vector):
+    """Evaluate h(x) = f(x) + g(x), returning +inf when x is outside dom g.
+
+    On a (k, dim) stack: the k values as an array, row i bit for bit
+    h(x[i]) (the stack contract in :class:`CompositeProblem`).
+    """
+    if not _is_point(x, problem.dim):
+        if _is_stack(x, problem.dim):
+            gval = problem.nonsmooth.value(x)
+            return np.where(gval == math.inf, math.inf, problem.smooth.value(x) + gval)
+        x = as_point(x, problem.dim)
     gval = float(problem.nonsmooth.value(x))
     if math.isinf(gval) and gval > 0.0:
         return math.inf
@@ -144,13 +169,27 @@ def evaluate_h(problem: CompositeProblem, x: Vector) -> float:
 
 
 def forward_backward_step(problem: CompositeProblem, y: Vector) -> Vector:
-    """Apply T(y) = prox_{gamma g}(y - gamma * grad f(y))."""
-    y = as_point(y, problem.dim)
+    """Apply T(y) = prox_{gamma g}(y - gamma * grad f(y)), to a vector or to each row of a stack."""
+    if not (_is_point(y, problem.dim) or _is_stack(y, problem.dim)):
+        y = as_point(y, problem.dim)
     step = y - problem.gamma * problem.smooth.gradient(y)
     out = problem.nonsmooth.prox(step, problem.gamma)
-    if _is_point(out, problem.dim):
+    if type(out) is np.ndarray and out.dtype is _FLOAT64 and out.shape == y.shape:
         return out
-    return as_point(out, problem.dim, what=f"prox of {problem.nonsmooth.name!r}")
+    what = f"prox of {problem.nonsmooth.name!r}"
+    if y.ndim == 2:
+        raise ParameterError(f"{what}: expected a float64 array of shape {y.shape}, got {np.shape(out)}")
+    return as_point(out, problem.dim, what=what)
+
+
+def matvec(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """q @ x[i] for each row of an (k, d) stack x.
+
+    One BLAS ``gemv`` per row, the routine of the 1-D product, so row i is
+    bit for bit ``q @ x[i]`` on a C-contiguous stack. ``x @ q.T`` would be
+    one ``gemm``, which rounds differently.
+    """
+    return np.matmul(q, x[..., None])[..., 0]
 
 
 def rowdot(a: np.ndarray, b: np.ndarray):

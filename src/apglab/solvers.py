@@ -42,9 +42,31 @@ instance reaches an exact fixed point is luck of the float draw, so a skip
 there would make the cost of the same workload swing several-fold from
 one seed-drawn instance to the next (see
 :func:`apglab.diagnostics.reference_min`).
+
+Lockstep batches. The iteration of a run is one generator, ``_steps``: it
+yields y_n and receives T y_n and h(T y_n), and does everything else
+itself (schedule draws, MFISTA's accept/reject, the divergence, stop and
+absorption tests, the record queue and the block diagnostics).
+:func:`run_batch` drives the runs that share a problem together: while
+two or more are live, each iteration stacks their y_n into one
+C-contiguous (k, d) array and makes one ``forward_backward_step`` and one
+``evaluate_h`` call on it. The terms compute row i of a stack bit for bit
+as they compute that vector alone (the stack contract in
+:class:`~apglab.problem.CompositeProblem`), so a run's trace does not
+depend on the runs it shares a batch with. At d = 10 a stacked call pair
+costs about 20-24 us for k = 2 to 4 and 29-40 us for k = 8 (2-vCPU Xeon),
+against 10-13 us for one pair of 1-D calls: per run, about half at k = 4
+and a third at k = 8. A (1, d) stack, though, costs about twice a 1-D
+pair (21-23 us): a lone run, and the last live run of a batch, keep the
+1-D calls, and ``fista_run``, ``mfista_run``, ``ista_run`` and
+``run_algorithm`` are batches of one.
+A run's rows go into a buffer of its own that takes memory only as rows
+are written and returns it when the trace is dropped (``_row_buffer``), so
+k live runs hold the rows they have written, not k preallocated tables.
 """
 
 import math
+import mmap
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -166,7 +188,42 @@ def _resolve_anchor(problem: CompositeProblem, options: SolverOptions):
     return anchor, float(anchor_h)
 
 
-def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, algorithm: str) -> SolverTrace:
+def _schedule_for(algorithm: str, schedule) -> Schedule:
+    """The schedule a run follows: ``schedule`` is a Schedule, a spec, or None for the default."""
+    if algorithm == "ista":
+        if schedule is not None:
+            spec = schedule.spec if isinstance(schedule, Schedule) else canonical_schedule_spec(schedule)
+            if spec != ISTA_SCHEDULE:
+                raise ParameterError(f"ista requires the constant schedule tau=1, got {spec}")
+        return make_schedule(ISTA_SCHEDULE)
+    if algorithm not in ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if isinstance(schedule, Schedule):
+        return schedule
+    return make_schedule(schedule or {"kind": "classical"})
+
+
+def _row_buffer(cap: int):
+    """Zeroed columns for cap rows: an int64 n column and a (len(_COLUMNS), cap) float table.
+
+    Both live in one anonymous mapping, so a page becomes resident only
+    when a row is written to it, and the whole buffer goes back to the OS
+    once the last view of it (the trace's columns) is dropped.
+    """
+    width = len(_COLUMNS)
+    buf = mmap.mmap(-1, (width + 1) * cap * 8)
+    col_n = np.frombuffer(buf, dtype=np.int64, count=cap)
+    rows = np.frombuffer(buf, dtype=np.float64, count=width * cap, offset=cap * 8).reshape(width, cap)
+    return col_n, rows
+
+
+def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverOptions):
+    """The iteration of one run, as a generator.
+
+    It yields each y_n and receives (T y_n, h(T y_n)) for it; its return
+    value is the run's SolverTrace. :func:`run_batch` drives it.
+    """
+    sched = _schedule_for(algorithm, schedule).clone()
     if options.max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {options.max_iters}")
     if options.record_every < 1:
@@ -176,7 +233,6 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
 
     gamma = problem.gamma
     monotone = algorithm == "mfista"
-    sched = schedule.clone()
     fast_forward = options.fast_forward and sched.kind == "constant"
     x0 = (
         np.zeros(problem.dim)
@@ -188,9 +244,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
 
     n_iters = options.max_iters
     every = options.record_every
-    cap = 2 + n_iters // every
-    col_n = np.zeros(cap, dtype=np.int64)
-    rows = np.full((cap, len(_COLUMNS)), math.nan)
+    col_n, rows = _row_buffer(2 + n_iters // every)
     cursor = 0
     stop_step_norm = options.stop_step_norm
     stop_h_gap = options.stop_h_gap
@@ -200,10 +254,10 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     # diagnostic columns
     every_step_norm = stop_step_norm is not None or fast_forward
     # Rows queued for _diagnostic_rows, one tuple of its arguments each.
-    # They fill rows[done:] in order; an absorbing row that is not recorded
-    # goes last, at rows[cursor]. The queue is cleared as soon as its
-    # columns are stacked, which frees the per-row vectors before the block
-    # is computed.
+    # They fill rows[:, done:] in order; an absorbing row that is not
+    # recorded goes last, at rows[:, cursor]. The queue is cleared as soon
+    # as its columns are stacked, which frees the per-row vectors before
+    # the block is computed.
     pending = []
     done = 0
 
@@ -211,7 +265,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         nonlocal done
         columns = [np.array(col) for col in zip(*pending)]
         pending.clear()
-        rows[done:done + len(columns[0])] = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *columns)
+        rows[:, done:done + len(columns[0])] = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *columns)
         done = cursor
 
     x_prev = x0
@@ -228,8 +282,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     final_x_prev: Optional[np.ndarray] = None
 
     for n in range(1, n_iters + 1):
-        t_y = forward_backward_step(problem, y)
-        h_t = evaluate_h(problem, t_y)
+        t_y, h_t = yield y
 
         if monotone:
             if h_prev <= h_t:
@@ -294,16 +347,17 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         flush()
     if absorbed_at is not None:
         # Every remaining iteration repeats the last one, row included. The
-        # absorbing row sits at rows[cursor] unless it was recorded itself.
-        row = rows[cursor - 1 if record else cursor].copy()
+        # absorbing row sits at rows[:, cursor] unless it was recorded itself.
+        row = rows[:, cursor - 1 if record else cursor].copy()
+        first = cursor
         for n in range(absorbed_at, n_iters + 1):
             sched.next_tau()
             if n == n_iters or n % every == 0:
                 col_n[cursor] = n
-                rows[cursor] = row
                 cursor += 1
+        rows[:, first:cursor] = row[:, None]
 
-    columns = {name: rows[:cursor, j].copy() for j, name in enumerate(_COLUMNS)}
+    columns = {name: rows[j, :cursor] for j, name in enumerate(_COLUMNS)}
     return SolverTrace(
         algorithm=algorithm,
         problem_name=problem.name,
@@ -311,7 +365,7 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
         gamma=gamma,
         max_iters=n_iters,
         record_every=every,
-        n=col_n[:cursor].copy(),
+        n=col_n[:cursor],
         **columns,
         x0=x0,
         x1=x1,
@@ -328,9 +382,50 @@ def _run(problem: CompositeProblem, schedule: Schedule, options: SolverOptions, 
     )
 
 
+def run_batch(problem: CompositeProblem, runs):
+    """Advance runs that share ``problem`` in lockstep; yield (index, trace) as each ends.
+
+    ``runs`` holds (algorithm, schedule, options) triples, the arguments
+    of :func:`run_algorithm`. Each iteration stacks the live runs' y_n
+    into one C-contiguous (k, d) array and makes one
+    ``forward_backward_step`` and one ``evaluate_h`` call on it; each run
+    receives its own row. Once one run is left it takes the 1-D calls.
+    Every run is set up, and its arguments checked, before the first
+    iteration. Traces are bit for bit those of the runs made alone (module
+    docstring).
+    """
+    live = []
+    for i, (algorithm, schedule, options) in enumerate(runs):
+        steps = _steps(problem, algorithm, schedule, options)
+        live.append((i, steps, next(steps)))
+    while len(live) > 1:
+        t_ys = forward_backward_step(problem, np.array([y for _, _, y in live]))
+        h_ts = evaluate_h(problem, t_ys).tolist()
+        running = []
+        for (i, steps, _), t_y, h_t in zip(live, t_ys, h_ts):
+            try:
+                running.append((i, steps, steps.send((t_y, h_t))))
+            except StopIteration as end:
+                yield i, end.value
+        live = running
+    for i, steps, y in live:
+        try:
+            while True:
+                t_y = forward_backward_step(problem, y)
+                y = steps.send((t_y, evaluate_h(problem, t_y)))
+        except StopIteration as end:
+            yield i, end.value
+
+
+def _run(problem: CompositeProblem, algorithm: str, schedule, options: SolverOptions) -> SolverTrace:
+    """One run: a batch of one."""
+    (_, trace), = run_batch(problem, [(algorithm, schedule, options)])
+    return trace
+
+
 def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm, h_prev, h_t,
                      x_prev, y, t_y, x) -> np.ndarray:
-    """The float columns of m queued rows, as an (m, len(_COLUMNS)) array.
+    """The float columns of m queued rows, as a (len(_COLUMNS), m) array.
 
     tau, alpha, h_x, x_norm, h_prev and h_t (h(T y)) are length-m arrays;
     x_prev, y, t_y and x are C-contiguous (m, d) stacks. Every dot product
@@ -357,13 +452,13 @@ def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm,
         lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
         if not monotone:
             fejer = np.sqrt(u_sq)
-    return np.column_stack((tau, alpha, h_x, sigma, vector_norm(step), x_norm, key, lyap, fejer))
+    return np.stack((tau, alpha, h_x, sigma, vector_norm(step), x_norm, key, lyap, fejer))
 
 
 def fista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> SolverTrace:
     """x_n = T y_n with extrapolation y_{n+1} = x_n + alpha_n (x_n - x_{n-1})."""
     sched = schedule if isinstance(schedule, Schedule) else make_schedule(schedule)
-    return _run(problem, sched, options, "fista")
+    return _run(problem, "fista", sched, options)
 
 
 def mfista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> SolverTrace:
@@ -374,7 +469,7 @@ def mfista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> S
     y_{n+1} = x_n + (tau_n/tau_{n+1})(z_n - x_n) + alpha_n (x_n - x_{n-1}).
     """
     sched = schedule if isinstance(schedule, Schedule) else make_schedule(schedule)
-    return _run(problem, sched, options, "mfista")
+    return _run(problem, "mfista", sched, options)
 
 
 def ista_run(problem: CompositeProblem, options: SolverOptions, schedule=None) -> SolverTrace:
@@ -383,22 +478,12 @@ def ista_run(problem: CompositeProblem, options: SolverOptions, schedule=None) -
     Realized as the momentum iteration with the constant schedule tau = 1,
     which makes every alpha_n vanish. A non-unit schedule is rejected.
     """
-    if schedule is not None:
-        spec = schedule.spec if isinstance(schedule, Schedule) else canonical_schedule_spec(schedule)
-        if spec != ISTA_SCHEDULE:
-            raise ParameterError(f"ista requires the constant schedule tau=1, got {spec}")
-    return _run(problem, make_schedule(ISTA_SCHEDULE), options, "ista")
+    return _run(problem, "ista", schedule, options)
 
 
 def run_algorithm(problem: CompositeProblem, algorithm: str, schedule_spec: Optional[dict], options: SolverOptions) -> SolverTrace:
-    """Dispatch on the algorithm name used by config files."""
-    if algorithm == "ista":
-        return ista_run(problem, options, schedule=schedule_spec)
-    if algorithm == "fista":
-        return fista_run(problem, schedule_spec or {"kind": "classical"}, options)
-    if algorithm == "mfista":
-        return mfista_run(problem, schedule_spec or {"kind": "classical"}, options)
-    raise ParameterError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    """Dispatch on the algorithm name used by config files (classical momentum by default)."""
+    return _run(problem, algorithm, schedule_spec, options)
 
 
 # Rows per write: the cells of one chunk stay near 0.3 MB however long the
@@ -410,6 +495,19 @@ def _format_cell(v: float) -> str:
     return "" if math.isnan(v) else repr(v)
 
 
+def _cells(values: np.ndarray, fmt) -> list:
+    """fmt of each value, called once per run of equal bits.
+
+    Bits, not ==: -0.0 after 0.0 is a new cell. Converged and absorbed
+    runs repeat most of their cells, and a float's repr costs more than the
+    comparison and the expansion together.
+    """
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    formatted = np.array([fmt(v) for v in values[starts].tolist()], dtype=object)
+    return np.repeat(formatted, np.diff(starts, append=values.size)).tolist()
+
+
 def write_trace_csv(trace: SolverTrace, path) -> None:
     """Serialize the recorded columns; floats use shortest round-trip form."""
     floats = (trace.tau, trace.alpha, trace.h, trace.sigma, trace.step_norm, trace.x_norm)
@@ -419,8 +517,8 @@ def write_trace_csv(trace: SolverTrace, path) -> None:
         for lo in range(0, trace.n.size, _CSV_CHUNK):
             hi = lo + _CSV_CHUNK
             cells = [map(str, trace.n[lo:hi].tolist())]
-            cells += [map(repr, col[lo:hi].tolist()) for col in floats]
-            cells += [map(_format_cell, col[lo:hi].tolist()) for col in optional]
+            cells += [_cells(col[lo:hi], repr) for col in floats]
+            cells += [_cells(col[lo:hi], _format_cell) for col in optional]
             fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 

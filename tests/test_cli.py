@@ -131,6 +131,63 @@ def test_run_solves_each_distinct_oracle_once(tmp_path, monkeypatch):
         assert path.read_bytes() == (tmp_path / "par" / path.name).read_bytes()
 
 
+# 8 runs on one lasso, ending at different iterations: a batch shrinks as
+# they end, and absorbed, stopped and recorded-every-k runs take part
+SHARED_LASSO_RUNS = [
+    dict(LASSO_RUN, name=name, problem={"name": "lasso", "dim": 10, "seed": 4}, **keys)
+    for name, keys in (
+        ("fista", {"max_iters": 1500}),
+        ("fista-cd2", {"schedule": {"kind": "chambolle_dossal", "rho": 2.0}, "max_iters": 1200,
+                       "record_every": 7}),
+        ("fista-const2", {"schedule": {"kind": "constant", "tau": 2.0}, "max_iters": 3000}),
+        ("ista", {"algorithm": "ista", "schedule": None, "max_iters": 20000, "anchor": "none"}),
+        ("mfista", {"algorithm": "mfista", "max_iters": 800}),
+        ("mfista-att2", {"algorithm": "mfista", "schedule": {"kind": "attouch_shifted", "rho": 2.0},
+                         "max_iters": 1500, "record_every": 3}),
+        ("fista-aujol", {"schedule": {"kind": "aujol_dossal", "a": 5.0, "d": 0.5}, "max_iters": 1000}),
+        ("fista-att3", {"schedule": {"kind": "attouch_shifted", "rho": 3.0}, "max_iters": 2000,
+                        "stop_step_norm": 1e-9}),
+    )
+]
+
+
+def test_runs_sharing_a_problem_write_the_same_bytes_batched_or_alone(tmp_path, capsys):
+    # one batch (--jobs 1), three batches (--jobs 3), and each run alone
+    runs = [{k: v for k, v in run.items() if v is not None} for run in SHARED_LASSO_RUNS]
+    cfg = write_config(tmp_path / "all.json", runs)
+    for jobs in ("1", "3"):
+        assert cli.main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+        # results print in config order, not in the order the runs end
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("run ")]
+        assert printed == [f"run {run['name']}" for run in runs]
+    for run in runs:
+        one = write_config(tmp_path / f"{run['name']}.json", [run])
+        assert cli.main(["run", str(one), "--out", str(tmp_path / "alone")]) == 0
+    names = sorted(path.name for path in (tmp_path / "jobs1").iterdir())
+    assert len(names) == 2 * len(runs)
+    for other in ("jobs3", "alone"):
+        assert sorted(path.name for path in (tmp_path / other).iterdir()) == names
+        for name in names:
+            assert (tmp_path / other / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes(), (other, name)
+
+
+def test_run_builds_each_distinct_problem_once_per_stage(tmp_path, monkeypatch):
+    # validation, the reference solve and the batch each build a problem
+    # once, however many runs share it
+    calls = []
+    build = cli.build_problem
+
+    def counting_build(spec):
+        calls.append(json.dumps(spec, sort_keys=True))
+        return build(spec)
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    runs = [dict(LASSO_RUN, name=f"l{i}") for i in range(5)] + [dict(QUAD_RUN, name=f"q{i}") for i in range(2)]
+    cfg = write_config(tmp_path / "c.json", runs)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 6 and len(set(calls)) == 2
+
+
 def test_parallel_unreliable_oracle_exits_4(tmp_path, capsys):
     # a one-iteration oracle's stages disagree; the error reaches the parent
     # through the process pool

@@ -196,22 +196,50 @@ def test_csv_round_trip_preserves_values_and_gaps(tmp_path):
     assert ",," in text.splitlines()[1] or text.splitlines()[1].endswith(",")
 
 
+def _row_by_row_csv(trace) -> str:
+    """The trace CSV formatted one cell at a time."""
+    lines = [CSV_HEADER]
+    for i in range(trace.n.size):
+        cells = [str(int(trace.n[i]))]
+        cells += [repr(float(getattr(trace, c)[i]))
+                  for c in ("tau", "alpha", "h", "sigma", "step_norm", "x_norm")]
+        cells += ["" if math.isnan(v) else repr(float(v))
+                  for v in (trace.key_residual[i], trace.lyapunov[i])]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def test_csv_chunks_match_row_by_row_format(tmp_path):
     # 9000 rows span many write chunks; the unanchored run leaves empty cells
     p = build_problem(LASSO)
     for anchor in (None, np.zeros(p.dim)):
         trace = fista_run(p, {"kind": "classical"}, SolverOptions(max_iters=9000, anchor=anchor))
-        lines = [CSV_HEADER]
-        for i in range(trace.n.size):
-            cells = [str(int(trace.n[i]))]
-            cells += [repr(float(getattr(trace, c)[i]))
-                      for c in ("tau", "alpha", "h", "sigma", "step_norm", "x_norm")]
-            cells += ["" if math.isnan(v) else repr(float(v))
-                      for v in (trace.key_residual[i], trace.lyapunov[i])]
-            lines.append(",".join(cells))
         path = tmp_path / "t.csv"
         write_trace_csv(trace, path)
-        assert path.read_text() == "\n".join(lines) + "\n"
+        assert path.read_text() == _row_by_row_csv(trace)
+
+
+def test_csv_formats_repeated_cells_by_their_bits(tmp_path):
+    # the writer formats a cell once per run of equal bits: a signed zero
+    # after a zero, and NaNs of different payloads, are new runs, and a run
+    # may cross a write chunk
+    trace = fista_run(build_problem(QUAD2), {"kind": "classical"}, SolverOptions(max_iters=1100))
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000002], dtype=np.uint64).view(float)
+    special = np.array([0.0, -0.0, -0.0, 0.0, nans[0], nans[1], nans[1], nans[2], 1.5, 1.5, -0.0])
+    columns = ("tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov")
+    for j, name in enumerate(columns):
+        col = np.full(trace.n.size, 0.25 * (j + 1))
+        col[:special.size] = special
+        col[500 + j:530] = -0.0  # a run of repeats across the 512-row chunk edge
+        col[530] = 0.0
+        col[-special.size:] = special[::-1]
+        setattr(trace, name, col)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    text = path.read_text()
+    assert text == _row_by_row_csv(trace)
+    assert text.splitlines()[2].startswith("2,-0.0,-0.0,-0.0,")
+    assert text.splitlines()[6].endswith(",nan,nan,,")
 
 
 def _bits(a):
