@@ -24,7 +24,7 @@ from .problem import (
     forward_backward_step,
     key_inequality_residual,
 )
-from .schedules import Schedule, canonical_schedule_spec, check_admissibility, make_schedule, prefix
+from .schedules import Schedule, canonical_schedule_spec, check_admissibility, prefix
 from .solvers import (
     SolverOptions,
     SolverTrace,
@@ -64,7 +64,6 @@ __all__ = [
     "forward_backward_step",
     "ista_run",
     "key_inequality_residual",
-    "make_schedule",
     "mfista_run",
     "prefix",
     "read_trace_csv",

@@ -84,8 +84,8 @@ def make_quadratic(a, b) -> SmoothTerm:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError(f"quadratic: A must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ParameterError(f"quadratic: A must be square and nonempty, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ParameterError(f"quadratic: b shape {b.shape} does not match A {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -209,8 +209,32 @@ def make_indicator_box(lower, upper) -> NonsmoothTerm:
     return NonsmoothTerm(value=value, prox=prox, name="box")
 
 
-def build_nonsmooth(spec: Optional[dict]) -> NonsmoothTerm:
-    """Resolve the ``g`` field of a problem spec."""
+_SHAPES = {(0,): "a number", (1,): "a list of numbers", (2,): "a list of rows", (0, 1): "a number or a list"}
+
+
+def _number(spec: dict, key: str, default=None, *, integer: bool = False, ndims=(0,)):
+    """spec[key] (default when absent) as a float, an int when integer, or a float array.
+
+    Every number of a problem spec passes through here. Strings, null,
+    bools, ragged lists, NaN, a number of dimensions not in ndims and, with
+    integer, a fractional or infinite value raise ParameterError.
+    """
+    value = spec.get(key, default)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    ok = arr.dtype.kind in "iuf" and arr.ndim in ndims and not np.isnan(arr).any()
+    if not ok or integer and not (np.isfinite(arr) and arr == np.trunc(arr)):
+        what = "an integer" if integer else _SHAPES[ndims]
+        raise ParameterError(f"{spec.get('name', spec.get('kind'))}: {key} must be {what}, got {value!r}")
+    if integer:
+        return int(arr)
+    return float(arr) if arr.ndim == 0 else arr.astype(float)
+
+
+def build_nonsmooth(spec: Optional[dict], dim: int) -> NonsmoothTerm:
+    """Resolve the ``g`` field of a problem spec in dimension dim."""
     if spec is None:
         return make_zero()
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -219,35 +243,40 @@ def build_nonsmooth(spec: Optional[dict]) -> NonsmoothTerm:
     if kind == "zero":
         return make_zero()
     if kind == "l1":
-        return make_l1(float(spec.get("weight", 1.0)))
+        return make_l1(_number(spec, "weight", 1.0))
     if kind == "box":
         if "lo" not in spec or "hi" not in spec:
             raise ParameterError("box spec needs 'lo' and 'hi'")
-        return make_indicator_box(spec["lo"], spec["hi"])
+        lo, hi = _number(spec, "lo", ndims=(0, 1)), _number(spec, "hi", ndims=(0, 1))
+        if not {np.size(lo), np.size(hi)} <= {1, dim}:
+            raise ParameterError(f"box: lo and hi need 1 or dim = {dim} values each, "
+                                 f"got {np.size(lo)} and {np.size(hi)}")
+        return make_indicator_box(lo, hi)
     raise ParameterError(f"unknown nonsmooth kind {kind!r}, expected one of {NONSMOOTH_NAMES}")
 
 
 def _resolve_gamma(spec: dict, beta: float) -> float:
-    gamma = spec.get("gamma")
-    if gamma is None:
+    if spec.get("gamma") is None:
         return 1.0 / beta
-    return float(gamma)
+    return _number(spec, "gamma")
 
 
 def _quadratic_problem(spec: dict) -> CompositeProblem:
-    dim = int(spec.get("dim", 1))
+    dim = _number(spec, "dim", 1, integer=True)
+    if dim < 1:
+        raise ParameterError(f"quadratic: dim must be >= 1, got {dim}")
     if "matrix" in spec:
-        a = np.asarray(spec["matrix"], dtype=float)
+        a = _number(spec, "matrix", ndims=(2,))
         dim = a.shape[0]
     elif "diag" in spec:
-        diag = np.asarray(spec["diag"], dtype=float)
+        diag = _number(spec, "diag", ndims=(1,))
         a = np.diag(diag)
         dim = diag.shape[0]
     else:
         a = np.eye(dim)
-    b = np.asarray(spec.get("b", np.zeros(dim)), dtype=float)
+    b = _number(spec, "b", np.zeros(dim), ndims=(1,))
     smooth = make_quadratic(a, b)
-    g = build_nonsmooth(spec.get("g"))
+    g = build_nonsmooth(spec.get("g"), dim)
     gamma = _resolve_gamma(spec, smooth.beta)
 
     known_min = None
@@ -284,15 +313,15 @@ def _lasso_problem(spec: dict) -> CompositeProblem:
         raise ParameterError("lasso spec needs 'dim'")
     if "seed" not in spec:
         raise ParameterError("lasso spec needs 'seed' (randomized design)")
-    dim = int(spec["dim"])
-    seed = int(spec["seed"])
-    if dim < 1:
-        raise ParameterError(f"lasso: dim must be >= 1, got {dim}")
-    rows = int(spec.get("rows", LASSO_ROW_FACTOR * dim))
-    lam_scale = float(spec.get("lam_scale", LASSO_LAM_SCALE))
-    condition = float(spec.get("condition", LASSO_CONDITION))
-    if rows < 1 or lam_scale <= 0.0 or condition < 1.0:
-        raise ParameterError("lasso: rows >= 1, lam_scale > 0 and condition >= 1 required")
+    dim = _number(spec, "dim", integer=True)
+    seed = _number(spec, "seed", integer=True)
+    if dim < 1 or seed < 0:
+        raise ParameterError(f"lasso: dim >= 1 and seed >= 0 required, got dim={dim}, seed={seed}")
+    rows = _number(spec, "rows", LASSO_ROW_FACTOR * dim, integer=True)
+    lam_scale = _number(spec, "lam_scale", LASSO_LAM_SCALE)
+    condition = _number(spec, "condition", LASSO_CONDITION)
+    if rows < 1 or not 0.0 < lam_scale < math.inf or not 1.0 <= condition < math.inf:
+        raise ParameterError("lasso: rows >= 1, finite lam_scale > 0 and finite condition >= 1 required")
 
     rng = np.random.default_rng(seed)
     design = rng.normal(size=(rows, dim))
@@ -326,7 +355,7 @@ def build_problem(spec: dict) -> CompositeProblem:
         smooth = make_affine_descent()
         return CompositeProblem(
             smooth=smooth,
-            nonsmooth=build_nonsmooth(spec.get("g")),
+            nonsmooth=build_nonsmooth(spec.get("g"), 1),
             gamma=_resolve_gamma(spec, smooth.beta),
             dim=1,
             name="affine-descent",
@@ -337,7 +366,7 @@ def build_problem(spec: dict) -> CompositeProblem:
         smooth = make_unattained_infimum()
         return CompositeProblem(
             smooth=smooth,
-            nonsmooth=build_nonsmooth(spec.get("g")),
+            nonsmooth=build_nonsmooth(spec.get("g"), 1),
             gamma=_resolve_gamma(spec, smooth.beta),
             dim=1,
             name="unattained",

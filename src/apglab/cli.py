@@ -20,7 +20,6 @@ from .catalog import build_problem
 from .config import RunSpec, parse_config
 from .diagnostics import (
     ReferenceInfo,
-    attouch_delta_bound,
     build_report,
     failed_checks,
     report_ok,
@@ -32,6 +31,9 @@ from .plotting import render_line_chart
 from .schedules import (
     SCHEDULE_KINDS,
     alphas,
+    attouch_delta_bound,
+    attouch_pair_deltas,
+    blowsup_pair_terms,
     check_admissibility,
     canonical_schedule_spec,
     classical_lower_bound_check,
@@ -43,8 +45,8 @@ from .schedules import (
 # run_algorithm is not called here, but stays importable under this name:
 # perfbench/tracer.py hooks apglab.cli.run_algorithm.
 from .solvers import (  # noqa: F401
-    ALGORITHMS,
     SolverOptions,
+    check_run,
     read_trace_csv,
     run_algorithm,
     run_batch,
@@ -78,40 +80,25 @@ def _apply_seed_override(runs) -> None:
             run.problem = {**run.problem, "seed": seed}
 
 
-def _validate_run(run: RunSpec, problems: dict) -> None:
-    """Raise ParameterError/AdmissibilityError before any run executes.
-
-    problems maps each _problem_key seen so far to its built problem, so
-    runs that share a problem build it once.
-    """
-    if run.algorithm not in ALGORITHMS:
-        raise ParameterError(f"run {run.name!r}: unknown algorithm {run.algorithm!r}")
-    key = _problem_key(run)
-    if key not in problems:
-        problems[key] = build_problem(run.problem)
-    problem = problems[key]
-    if run.stop_h_gap is not None and problem.known_min is None:
-        raise ParameterError(f"run {run.name!r}: stop_h_gap needs a problem with a known minimum")
-    if run.schedule is not None:
-        spec = canonical_schedule_spec(run.schedule)
-        if run.algorithm == "ista" and spec != {"kind": "constant", "tau": 1.0}:
-            raise ParameterError(f"run {run.name!r}: ista only accepts the constant tau=1 schedule")
-        if spec["kind"] == "custom" and len(spec["values"]) < run.max_iters + 1:
-            raise ParameterError(
-                f"run {run.name!r}: custom schedule needs max_iters+1 = {run.max_iters + 1} "
-                f"values (momentum at the last step looks one ahead), got {len(spec['values'])}"
-            )
-
-
 def _problem_key(run: RunSpec) -> tuple:
     """Runs with equal keys share one problem, one reference solve and their batches."""
     return json.dumps(run.problem, sort_keys=True), run.oracle_budget
 
 
+def _solver_options(run: RunSpec, anchor=None) -> SolverOptions:
+    return SolverOptions(
+        max_iters=run.max_iters,
+        record_every=run.record_every,
+        anchor=anchor,
+        stop_step_norm=run.stop_step_norm,
+        stop_h_gap=run.stop_h_gap,
+        divergence_threshold=run.divergence_threshold,
+    )
+
+
 def _resolve_run_reference(run: RunSpec) -> ReferenceInfo:
     """Worker for one distinct problem: its reference minimum."""
-    cache_key, budget = _problem_key(run)
-    return resolve_reference(build_problem(run.problem), budget=budget, cache_key=cache_key)
+    return resolve_reference(build_problem(run.problem), budget=run.oracle_budget)
 
 
 def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
@@ -122,17 +109,9 @@ def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
     per run, in the batch's order.
     """
     problem = build_problem(runs[0].problem)
-    batch = [
-        (run.algorithm, run.schedule, SolverOptions(
-            max_iters=run.max_iters,
-            record_every=run.record_every,
-            anchor=reference.witness if run.anchor == "auto" else None,
-            stop_step_norm=run.stop_step_norm,
-            stop_h_gap=run.stop_h_gap,
-            divergence_threshold=run.divergence_threshold,
-        ))
-        for run in runs
-    ]
+    batch = [(run.algorithm, run.schedule,
+              _solver_options(run, reference.witness if run.anchor == "auto" else None))
+             for run in runs]
     results = [None] * len(runs)
     for i, trace in run_batch(problem, batch):
         run = runs[i]
@@ -189,12 +168,16 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
 
-    try:
-        problems = {}
-        for run in cfg.runs:
-            _validate_run(run, problems)
-    except (ParameterError, AdmissibilityError) as exc:
-        return _fail(str(exc), EXIT_PARAMS)
+    # every run is checked before any is solved; runs that share a problem build it once
+    problems = {}
+    for run in cfg.runs:
+        try:
+            key = _problem_key(run)
+            if key not in problems:
+                problems[key] = build_problem(run.problem)
+            check_run(problems[key], run.algorithm, run.schedule, _solver_options(run))
+        except (ParameterError, AdmissibilityError) as exc:
+            return _fail(f"run {run.name!r}: {exc}", EXIT_PARAMS)
 
     out_dir = args.out if args.out is not None else cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -224,16 +207,8 @@ def cmd_run(args) -> int:
 
 def _schedule_spec_from_args(args) -> dict:
     spec = {"kind": args.kind}
-    if args.tau1 is not None:
-        spec["tau1"] = args.tau1
-    if args.rho is not None:
-        spec["rho"] = args.rho
-    if args.a is not None:
-        spec["a"] = args.a
-    if args.d is not None:
-        spec["d"] = args.d
-    if args.tau is not None:
-        spec["tau"] = args.tau
+    spec.update((key, getattr(args, key)) for key in ("tau1", "rho", "a", "d", "tau")
+                if getattr(args, key) is not None)
     if args.values is not None:
         try:
             spec["values"] = [float(v) for v in args.values.split(",") if v.strip()]
@@ -260,11 +235,8 @@ def cmd_schedule(args) -> int:
     al = alphas(taus)
     ks = np.arange(1, rows + 1, dtype=float)
     n_over_tau = ks / taus[:rows]
-    t0, t1 = taus[:-1], taus[1:]
-    pair_delta = (t1 - t0) * (t1 + t0) / t1
-    pair_blow = 1.0 - (t0 * t0) / (t1 * t1)
-    running_delta = np.concatenate(([np.nan], np.maximum.accumulate(pair_delta)))[:rows]
-    running_blow = np.concatenate(([0.0], np.cumsum(pair_blow)))[:rows]
+    running_delta = np.concatenate(([np.nan], np.maximum.accumulate(attouch_pair_deltas(taus))))[:rows]
+    running_blow = np.concatenate(([0.0], np.cumsum(blowsup_pair_terms(taus))))[:rows]
 
     def cell(v) -> str:
         return f"{'':>18}" if v is None or (isinstance(v, float) and math.isnan(v)) else f"{v:>18.12g}"

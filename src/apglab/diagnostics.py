@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import OracleNotApplicable, OracleUnreliable
 from .problem import CompositeProblem, NUMERIC_TOL, evaluate_h
-from .schedules import kappa_bound, tau_sup_bound
+from .schedules import attouch_delta_bound, kappa_bound, tau_sup_bound
 from .solvers import SolverOptions, SolverTrace, ista_run, mfista_run
 
 PASS = "pass"
@@ -36,8 +36,6 @@ DIVERGENCE_FACTOR = 10.0
 ORACLE_AGREEMENT_TOL = 1e-8
 LYAPUNOV_NOISE = 1e-13
 STEP_SETTLED_TOL = 1e-9
-
-GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -136,16 +134,8 @@ def reference_min(problem: CompositeProblem, budget: int = 50_000) -> OracleResu
     )
 
 
-_reference_cache: dict = {}
-
-
-def resolve_reference(problem: CompositeProblem, budget: int = 50_000, cache_key: Optional[str] = None) -> ReferenceInfo:
-    """Pick the reference minimum: catalog metadata first, oracle second.
-
-    cache_key (typically the canonical problem spec) memoizes oracle
-    solves within the process; the oracle itself is deterministic, so the
-    cache only saves time, never changes results.
-    """
+def resolve_reference(problem: CompositeProblem, budget: int = 50_000) -> ReferenceInfo:
+    """Pick the reference minimum: catalog metadata first, oracle second."""
     if problem.known_min is not None:
         return ReferenceInfo(
             min_h=problem.known_min,
@@ -156,23 +146,14 @@ def resolve_reference(problem: CompositeProblem, budget: int = 50_000, cache_key
         )
     if problem.argmin_nonempty is False:
         return ReferenceInfo(min_h=None, error_bar=0.0, witness=None, source="none", inf_h=problem.inf_h)
-    key = None
-    if cache_key is not None:
-        key = (cache_key, budget)
-        hit = _reference_cache.get(key)
-        if hit is not None:
-            return hit
     oracle = reference_min(problem, budget)
-    info = ReferenceInfo(
+    return ReferenceInfo(
         min_h=oracle.min_h,
         error_bar=oracle.error_bar,
         witness=oracle.argmin,
         source="oracle",
         inf_h=oracle.min_h,
     )
-    if key is not None:
-        _reference_cache[key] = info
-    return info
 
 
 def beta_z_from_trace(trace: SolverTrace, witness: np.ndarray, witness_h: float) -> Optional[float]:
@@ -430,29 +411,6 @@ def certify_liminf_inf(trace: SolverTrace, reference: ReferenceInfo, kappa: floa
     if resid <= tol:
         return Verdict(PASS, resid, loc, f"tolerance {tol:.3g}")
     return Verdict(FAIL, resid, loc, f"running min misses the reference by {resid:.3g} > {tol:.3g}")
-
-
-def attouch_delta_bound(spec: dict) -> float:
-    """Analytic sup of (tau_{k+1}^2 - tau_k^2)/tau_{k+1} per schedule kind.
-
-    1 for classical (the recursion attains it), 2/rho for chambolle_dossal,
-    golden-ratio/rho for attouch_shifted, 2d/a^d for aujol_dossal, 0 for
-    constant; +inf when unknown (custom).
-    """
-    kind = spec.get("kind")
-    if kind == "constant":
-        return 0.0
-    if kind == "classical":
-        return 1.0
-    if kind == "chambolle_dossal":
-        return 2.0 / float(spec["rho"])
-    if kind == "attouch_shifted":
-        return GOLDEN_RATIO / float(spec["rho"])
-    if kind == "aujol_dossal":
-        d = float(spec["d"])
-        a = float(spec["a"])
-        return 0.0 if d == 0.0 else 2.0 * d / a**d
-    return math.inf
 
 
 def certify_tau2_decay(trace: SolverTrace, min_h: Optional[float]) -> Verdict:

@@ -10,27 +10,26 @@ which in turn forces tau_{n+1}^2 - tau_{n+1} <= tau_n^2 and caps any
 single-step increase at (1 + sqrt(5))/4. Built-in families satisfy the
 bracket by construction; user-supplied lists are validated eagerly so a
 bad sequence fails at load time, not after a long run.
+
+Each family's facts (parameter gate, tau generator, kappa, sup-tau and
+Attouch-delta bounds) are one row of :data:`FAMILIES`; the functions
+below only look them up.
 """
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError
 
-SCHEDULE_KINDS = (
-    "constant",
-    "classical",
-    "chambolle_dossal",
-    "aujol_dossal",
-    "attouch_shifted",
-    "custom",
-)
-
 # Largest admissible single-step increase tau_{n+1} - tau_n.
 MAX_STEP_INCREASE = (1.0 + math.sqrt(5.0)) / 4.0
+
+GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Default tolerance for admissibility residuals. Residuals are measured
 # relative to max(1, scale of the compared quantity): at tau ~ 5e4 the
@@ -45,147 +44,192 @@ def bracket_upper(tau):
     return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
 
 
+def _number(kind: str, key: str, value) -> float:
+    """One number of a schedule spec as a float.
+
+    Every number of a spec passes through here. Anything but an int or a
+    float (a string, null, a bool, a list) raises ParameterError; the
+    family's gate then judges the value, NaN and the infinities included.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{kind} schedule: {key} must be numeric, got {value!r}")
+    return float(value)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ParameterError(message)
+
+
+def _one_parameter(kind: str, key: str, default: Optional[float], ok: Callable, message: str):
+    """Gate of a family with one parameter, which must be finite and pass ok (else message)."""
+
+    def gate(spec: dict) -> dict:
+        _require(default is not None or key in spec, f"{kind} schedule needs '{key}'")
+        value = _number(kind, key, spec.get(key, default))
+        _require(math.isfinite(value) and ok(value), message.format(value))
+        return {key: value}
+
+    return gate
+
+
+def _gate_aujol_dossal(spec: dict) -> dict:
+    _require("a" in spec and "d" in spec, "aujol_dossal schedule needs 'a' and 'd'")
+    a = _number("aujol_dossal", "a", spec["a"])
+    d = _number("aujol_dossal", "d", spec["d"])
+    _require(math.isfinite(a) and math.isfinite(d), "aujol_dossal parameters must be finite")
+    _require(0.0 <= d <= 1.0, f"aujol_dossal needs d in [0, 1], got {d}")
+    if d == 0.0:
+        _require(a > 0.0, f"aujol_dossal with d=0 needs a > 0, got a={a}")
+    else:
+        gate = max(1.0, (2.0 * d) ** (1.0 / d))
+        _require(a > gate, f"aujol_dossal needs a > max(1, (2d)^(1/d)) = {gate:g} when d={d:g}, got a={a:g}")
+    return {"a": a, "d": d}
+
+
+def _gate_custom(spec: dict) -> dict:
+    raw = spec.get("values")
+    _require(isinstance(raw, (list, tuple)) and len(raw) > 0, "custom schedule needs a nonempty 'values' list")
+    values = [_number("custom", "values", v) for v in raw]
+    _require(all(math.isfinite(v) for v in values), "custom schedule values must be finite")
+    report = check_admissibility(np.asarray(values))
+    if not report.ok:
+        raise AdmissibilityError(
+            f"custom schedule inadmissible at index {report.first_violation}: {report.reason}",
+            index=report.first_violation,
+        )
+    return {"values": values}
+
+
+def _classical(tau1: float) -> Iterator[float]:
+    """tau1, then each value the top of the bracket over the one before."""
+    tau = tau1
+    while True:
+        yield tau
+        tau = float(bracket_upper(tau))
+
+
+def _custom(values: list) -> Iterator[float]:
+    yield from values
+    raise ParameterError(f"custom schedule exhausted after {len(values)} values")
+
+
+def _unbounded(spec: dict) -> float:
+    return math.inf
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the package knows about one schedule family.
+
+    gate maps a raw spec to the family's parameters, or raises. The others
+    take the canonical spec: taus iterates tau_1, tau_2, ...; kappa bounds
+    sup_n n/tau_n analytically (prefix suprema understate it); tau_sup is
+    sup_n tau_n; delta is the analytic sup of
+    (tau_{k+1}^2 - tau_k^2)/tau_{k+1}. +inf where unbounded or unknown.
+    """
+
+    gate: Callable[[dict], dict]
+    taus: Callable[[dict], Iterator[float]]
+    kappa: Callable[[dict], float]
+    tau_sup: Callable[[dict], float]
+    delta: Callable[[dict], float]
+
+
+FAMILIES = {
+    "constant": Family(
+        gate=_one_parameter("constant", "tau", 1.0, lambda tau: tau >= 1.0,
+                            "constant schedule needs tau >= 1, got {}"),
+        taus=lambda s: itertools.repeat(s["tau"]),
+        kappa=_unbounded,
+        tau_sup=lambda s: s["tau"],
+        delta=lambda s: 0.0,
+    ),
+    "classical": Family(
+        gate=_one_parameter("classical", "tau1", 1.0, lambda tau1: tau1 >= 1.0,
+                            "classical schedule needs tau1 >= 1, got {}"),
+        taus=lambda s: _classical(s["tau1"]),
+        kappa=lambda s: 2.0,  # for any tau1 >= 1
+        tau_sup=_unbounded,
+        delta=lambda s: 1.0,  # the recursion attains it
+    ),
+    "chambolle_dossal": Family(
+        gate=_one_parameter("chambolle_dossal", "rho", None, lambda rho: rho >= 2.0,
+                            "chambolle_dossal needs rho >= 2, got {}"),
+        taus=lambda s: ((n + s["rho"] - 1.0) / s["rho"] for n in itertools.count(1)),
+        kappa=lambda s: s["rho"],
+        tau_sup=_unbounded,
+        delta=lambda s: 2.0 / s["rho"],
+    ),
+    "aujol_dossal": Family(
+        gate=_gate_aujol_dossal,
+        taus=lambda s: (((n + s["a"] - 1.0) / s["a"]) ** s["d"] for n in itertools.count(1)),
+        kappa=lambda s: s["a"] if s["d"] == 1.0 else math.inf,
+        tau_sup=lambda s: 1.0 if s["d"] == 0.0 else math.inf,
+        delta=lambda s: 0.0 if s["d"] == 0.0 else 2.0 * s["d"] / s["a"] ** s["d"],
+    ),
+    "attouch_shifted": Family(
+        gate=_one_parameter("attouch_shifted", "rho", None, lambda rho: rho > 1.0,
+                            "attouch_shifted needs rho > 1, got {}"),
+        # the classical recursion from 1, shifted and scaled
+        taus=lambda s: ((base + s["rho"] - 1.0) / s["rho"] for base in _classical(1.0)),
+        kappa=lambda s: 2.0 * s["rho"],
+        tau_sup=_unbounded,
+        delta=lambda s: GOLDEN_RATIO / s["rho"],
+    ),
+    "custom": Family(
+        gate=_gate_custom,
+        taus=lambda s: _custom(s["values"]),
+        kappa=_unbounded,
+        tau_sup=lambda s: max(s["values"]),
+        delta=_unbounded,
+    ),
+}
+
+SCHEDULE_KINDS = tuple(FAMILIES)
+
+
 def canonical_schedule_spec(spec: dict) -> dict:
     """Validate a schedule spec and return it in canonical form.
 
-    Raises ParameterError for malformed or out-of-gate parameters and
-    AdmissibilityError when a custom list violates the bracket.
+    The canonical form holds the kind and the family's parameters, as
+    floats. Raises ParameterError for malformed or out-of-gate parameters
+    and AdmissibilityError when a custom list violates the bracket.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParameterError(f"schedule spec must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
-    if kind == "constant":
-        tau = float(spec.get("tau", 1.0))
-        if not (math.isfinite(tau) and tau >= 1.0):
-            raise ParameterError(f"constant schedule needs tau >= 1, got {tau}")
-        return {"kind": kind, "tau": tau}
-    if kind == "classical":
-        tau1 = float(spec.get("tau1", 1.0))
-        if not (math.isfinite(tau1) and tau1 >= 1.0):
-            raise ParameterError(f"classical schedule needs tau1 >= 1, got {tau1}")
-        return {"kind": kind, "tau1": tau1}
-    if kind == "chambolle_dossal":
-        if "rho" not in spec:
-            raise ParameterError("chambolle_dossal schedule needs 'rho'")
-        rho = float(spec["rho"])
-        if not (math.isfinite(rho) and rho >= 2.0):
-            raise ParameterError(f"chambolle_dossal needs rho >= 2, got {rho}")
-        return {"kind": kind, "rho": rho}
-    if kind == "aujol_dossal":
-        if "a" not in spec or "d" not in spec:
-            raise ParameterError("aujol_dossal schedule needs 'a' and 'd'")
-        a = float(spec["a"])
-        d = float(spec["d"])
-        if not (math.isfinite(a) and math.isfinite(d)):
-            raise ParameterError("aujol_dossal parameters must be finite")
-        if d == 0.0:
-            if a <= 0.0:
-                raise ParameterError(f"aujol_dossal with d=0 needs a > 0, got a={a}")
-        elif 0.0 < d <= 1.0:
-            gate = max(1.0, (2.0 * d) ** (1.0 / d))
-            if a <= gate:
-                raise ParameterError(
-                    f"aujol_dossal needs a > max(1, (2d)^(1/d)) = {gate:g} when d={d:g}, got a={a:g}"
-                )
-        else:
-            raise ParameterError(f"aujol_dossal needs d in [0, 1], got {d}")
-        return {"kind": kind, "a": a, "d": d}
-    if kind == "attouch_shifted":
-        if "rho" not in spec:
-            raise ParameterError("attouch_shifted schedule needs 'rho'")
-        rho = float(spec["rho"])
-        if not (math.isfinite(rho) and rho > 1.0):
-            raise ParameterError(f"attouch_shifted needs rho > 1, got {rho}")
-        return {"kind": kind, "rho": rho}
-    if kind == "custom":
-        raw = spec.get("values")
-        if not raw:
-            raise ParameterError("custom schedule needs a nonempty 'values' list")
-        values = [float(v) for v in raw]
-        if not all(math.isfinite(v) for v in values):
-            raise ParameterError("custom schedule values must be finite")
-        report = check_admissibility(np.asarray(values))
-        if not report.ok:
-            raise AdmissibilityError(
-                f"custom schedule inadmissible at index {report.first_violation}: {report.reason}",
-                index=report.first_violation,
-            )
-        return {"kind": kind, "values": values}
-    raise ParameterError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
+    if kind not in SCHEDULE_KINDS:
+        raise ParameterError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
+    return {"kind": kind, **FAMILIES[kind].gate(spec)}
 
 
 class Schedule:
-    """Single-owner iterator over an admissible momentum sequence.
+    """Single-owner iterator over the momentum sequence of a spec.
 
     The first next_tau() call returns tau_1; each further call advances by
-    one element. Clones restart from the beginning and are independent, so
-    a schedule can be handed to several runs without shared state.
+    one element. A custom list raises ParameterError when it runs out.
     """
 
     def __init__(self, spec: dict):
         self.spec = canonical_schedule_spec(spec)
         self.kind = self.spec["kind"]
-        self._n = 0
-        self._tau = math.nan
-        self._base = math.nan
-
-    def clone(self) -> "Schedule":
-        return Schedule(self.spec)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def tau(self) -> float:
-        return self._tau
+        self._taus = FAMILIES[self.kind].taus(self.spec)
 
     def next_tau(self) -> float:
-        spec = self.spec
-        n = self._n + 1
-        kind = self.kind
-        if kind == "constant":
-            tau = spec["tau"]
-        elif kind == "classical":
-            tau = spec["tau1"] if n == 1 else float(bracket_upper(self._tau))
-        elif kind == "chambolle_dossal":
-            tau = (n + spec["rho"] - 1.0) / spec["rho"]
-        elif kind == "aujol_dossal":
-            tau = ((n + spec["a"] - 1.0) / spec["a"]) ** spec["d"]
-        elif kind == "attouch_shifted":
-            self._base = 1.0 if n == 1 else float(bracket_upper(self._base))
-            tau = (self._base + spec["rho"] - 1.0) / spec["rho"]
-        else:
-            values = spec["values"]
-            if n > len(values):
-                raise ParameterError(f"custom schedule exhausted after {len(values)} values")
-            tau = values[n - 1]
-        self._n = n
-        self._tau = float(tau)
-        return self._tau
+        return next(self._taus)
 
 
-def make_schedule(spec: dict) -> Schedule:
-    return Schedule(spec)
-
-
-def prefix(spec: Union[dict, Schedule], count: int) -> np.ndarray:
+def prefix(spec: dict, count: int) -> np.ndarray:
     """First `count` values tau_1..tau_count of a schedule.
 
-    Always iterates a fresh Schedule so the values are bit-identical to
+    Draws them from a fresh Schedule, so the values are bit-identical to
     what a solver run consumes.
     """
     if count < 1:
         raise ParameterError(f"prefix length must be >= 1, got {count}")
-    sched = spec.clone() if isinstance(spec, Schedule) else make_schedule(spec)
-    if sched.kind == "custom" and len(sched.spec["values"]) < count:
-        raise ParameterError(
-            f"custom schedule has {len(sched.spec['values'])} values, {count} requested"
-        )
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = sched.next_tau()
-    return out
+    sched = Schedule(spec)
+    return np.array([sched.next_tau() for _ in range(count)])
 
 
 def alphas(taus: np.ndarray) -> np.ndarray:
@@ -325,61 +369,51 @@ def folklore_expansion_check(n_max: int) -> np.ndarray:
     return n * (a - 1.0) + 3.0
 
 
-def attouch_condition_delta(taus: np.ndarray) -> float:
-    """Smallest delta with tau_{k+1}^2 - tau_k^2 <= delta * tau_{k+1}.
+def attouch_pair_deltas(taus: np.ndarray) -> np.ndarray:
+    """(tau_{k+1}^2 - tau_k^2)/tau_{k+1} for each consecutive pair of a prefix.
 
     Computed in the factored form (t1 - t0)(t1 + t0)/t1, which keeps the
     quotient accurate when the squares grow large.
     """
     taus = np.asarray(taus, dtype=float)
-    if taus.size < 2:
-        return 0.0
-    t0 = taus[:-1]
-    t1 = taus[1:]
-    return float(np.max((t1 - t0) * (t1 + t0) / t1))
+    t0, t1 = taus[:-1], taus[1:]
+    return (t1 - t0) * (t1 + t0) / t1
+
+
+def attouch_condition_delta(taus: np.ndarray) -> float:
+    """Smallest delta with tau_{k+1}^2 - tau_k^2 <= delta * tau_{k+1} over a prefix."""
+    deltas = attouch_pair_deltas(taus)
+    return float(np.max(deltas)) if deltas.size else 0.0
+
+
+def blowsup_pair_terms(taus: np.ndarray) -> np.ndarray:
+    """1 - tau_k^2 / tau_{k+1}^2 for each consecutive pair of a prefix."""
+    taus = np.asarray(taus, dtype=float)
+    t0, t1 = taus[:-1], taus[1:]
+    return 1.0 - (t0 * t0) / (t1 * t1)
 
 
 def blowsup_partial_sums(taus: np.ndarray) -> float:
     """Partial sum of 1 - tau_k^2 / tau_{k+1}^2 over the prefix."""
-    taus = np.asarray(taus, dtype=float)
-    if taus.size < 2:
-        return 0.0
-    t0 = taus[:-1]
-    t1 = taus[1:]
-    return float(np.sum(1.0 - (t0 * t0) / (t1 * t1)))
+    return float(np.sum(blowsup_pair_terms(taus)))
 
 
 def kappa_bound(spec: dict) -> float:
-    """Analytic bound on kappa = sup_n n/tau_n, +inf when unbounded.
-
-    Prefix suprema understate kappa, so certificates use these closed
-    forms: 2 for classical (any tau1 >= 1), rho for chambolle_dossal,
-    2*rho for attouch_shifted, a for aujol_dossal at d=1.
-    """
+    """Analytic bound on kappa = sup_n n/tau_n (Family.kappa), +inf when unbounded."""
     spec = canonical_schedule_spec(spec)
-    kind = spec["kind"]
-    if kind == "classical":
-        return 2.0
-    if kind == "chambolle_dossal":
-        return spec["rho"]
-    if kind == "attouch_shifted":
-        return 2.0 * spec["rho"]
-    if kind == "aujol_dossal" and spec["d"] == 1.0:
-        return spec["a"]
-    return math.inf
+    return FAMILIES[spec["kind"]].kappa(spec)
 
 
 def tau_sup_bound(spec: dict) -> float:
-    """sup_n tau_n: finite for the bounded kinds, +inf otherwise."""
+    """sup_n tau_n (Family.tau_sup): finite for the bounded kinds, +inf otherwise."""
     spec = canonical_schedule_spec(spec)
-    kind = spec["kind"]
-    if kind == "constant":
-        return spec["tau"]
-    if kind == "custom":
-        return max(spec["values"])
-    if kind == "aujol_dossal" and spec["d"] == 0.0:
-        return 1.0
-    return math.inf
+    return FAMILIES[spec["kind"]].tau_sup(spec)
+
+
+def attouch_delta_bound(spec: dict) -> float:
+    """Analytic sup of (tau_{k+1}^2 - tau_k^2)/tau_{k+1} (Family.delta), +inf when unknown."""
+    spec = canonical_schedule_spec(spec)
+    return FAMILIES[spec["kind"]].delta(spec)
 
 
 def quotient_window(tau_sup: float) -> tuple:

@@ -58,8 +58,10 @@ costs about 20-24 us for k = 2 to 4 and 29-40 us for k = 8 (2-vCPU Xeon),
 against 10-13 us for one pair of 1-D calls: per run, about half at k = 4
 and a third at k = 8. A (1, d) stack, though, costs about twice a 1-D
 pair (21-23 us): a lone run, and the last live run of a batch, keep the
-1-D calls, and ``fista_run``, ``mfista_run``, ``ista_run`` and
-``run_algorithm`` are batches of one.
+1-D calls. :func:`run_algorithm` is a batch of one, and ``fista_run``,
+``mfista_run`` and ``ista_run`` name its algorithm. Every run's arguments
+are checked in one place, :func:`check_run`, which ``apg run`` also calls
+before it solves anything.
 A run's rows go into a buffer of its own that takes memory only as rows
 are written and returns it when the trace is dropped (``_row_buffer``), so
 k live runs hold the rows they have written, not k preallocated tables.
@@ -83,7 +85,7 @@ from .problem import (
     rowdot,
     vector_norm,
 )
-from .schedules import Schedule, canonical_schedule_spec, make_schedule
+from .schedules import Schedule
 
 CSV_HEADER = "n,tau_n,alpha_n,h_xn,sigma_n,step_norm,x_norm,key_residual,lyapunov_E"
 
@@ -188,19 +190,33 @@ def _resolve_anchor(problem: CompositeProblem, options: SolverOptions):
     return anchor, float(anchor_h)
 
 
-def _schedule_for(algorithm: str, schedule) -> Schedule:
-    """The schedule a run follows: ``schedule`` is a Schedule, a spec, or None for the default."""
-    if algorithm == "ista":
-        if schedule is not None:
-            spec = schedule.spec if isinstance(schedule, Schedule) else canonical_schedule_spec(schedule)
-            if spec != ISTA_SCHEDULE:
-                raise ParameterError(f"ista requires the constant schedule tau=1, got {spec}")
-        return make_schedule(ISTA_SCHEDULE)
+def check_run(problem: CompositeProblem, algorithm: str, schedule: Optional[dict],
+              options: SolverOptions) -> Schedule:
+    """Check one run's arguments before anything is solved; return the schedule it follows.
+
+    schedule is a spec, or None for the default: classical momentum (ista
+    takes only the constant tau = 1). A custom list needs max_iters + 1
+    values, since the last iteration looks one tau ahead.
+    """
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if isinstance(schedule, Schedule):
-        return schedule
-    return make_schedule(schedule or {"kind": "classical"})
+    if schedule is None:
+        schedule = ISTA_SCHEDULE if algorithm == "ista" else {"kind": "classical"}
+    sched = Schedule(schedule)
+    if algorithm == "ista" and sched.spec != ISTA_SCHEDULE:
+        raise ParameterError(f"ista requires the constant schedule tau=1, got {sched.spec}")
+    if options.max_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {options.max_iters}")
+    if options.record_every < 1:
+        raise ParameterError(f"record_every must be >= 1, got {options.record_every}")
+    if options.stop_h_gap is not None and problem.known_min is None:
+        raise ParameterError("stop_h_gap requires a problem with known_min set")
+    if sched.kind == "custom" and len(sched.spec["values"]) <= options.max_iters:
+        raise ParameterError(
+            f"custom schedule exhausted after {len(sched.spec['values'])} values: max_iters = "
+            f"{options.max_iters} needs {options.max_iters + 1} (the last step looks one tau ahead)"
+        )
+    return sched
 
 
 def _row_buffer(cap: int):
@@ -223,14 +239,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     It yields each y_n and receives (T y_n, h(T y_n)) for it; its return
     value is the run's SolverTrace. :func:`run_batch` drives it.
     """
-    sched = _schedule_for(algorithm, schedule).clone()
-    if options.max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {options.max_iters}")
-    if options.record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {options.record_every}")
-    if options.stop_h_gap is not None and problem.known_min is None:
-        raise ParameterError("stop_h_gap requires a problem with known_min set")
-
+    sched = check_run(problem, algorithm, schedule, options)
     gamma = problem.gamma
     monotone = algorithm == "mfista"
     fast_forward = options.fast_forward and sched.kind == "constant"
@@ -390,9 +399,9 @@ def run_batch(problem: CompositeProblem, runs):
     into one C-contiguous (k, d) array and makes one
     ``forward_backward_step`` and one ``evaluate_h`` call on it; each run
     receives its own row. Once one run is left it takes the 1-D calls.
-    Every run is set up, and its arguments checked, before the first
-    iteration. Traces are bit for bit those of the runs made alone (module
-    docstring).
+    Every run is set up, and its arguments checked (:func:`check_run`),
+    before the first iteration. Traces are bit for bit those of the runs
+    made alone (module docstring).
     """
     live = []
     for i, (algorithm, schedule, options) in enumerate(runs):
@@ -415,12 +424,6 @@ def run_batch(problem: CompositeProblem, runs):
                 y = steps.send((t_y, evaluate_h(problem, t_y)))
         except StopIteration as end:
             yield i, end.value
-
-
-def _run(problem: CompositeProblem, algorithm: str, schedule, options: SolverOptions) -> SolverTrace:
-    """One run: a batch of one."""
-    (_, trace), = run_batch(problem, [(algorithm, schedule, options)])
-    return trace
 
 
 def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm, h_prev, h_t,
@@ -457,8 +460,7 @@ def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm,
 
 def fista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> SolverTrace:
     """x_n = T y_n with extrapolation y_{n+1} = x_n + alpha_n (x_n - x_{n-1})."""
-    sched = schedule if isinstance(schedule, Schedule) else make_schedule(schedule)
-    return _run(problem, "fista", sched, options)
+    return run_algorithm(problem, "fista", schedule, options)
 
 
 def mfista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> SolverTrace:
@@ -468,8 +470,7 @@ def mfista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> S
     candidate and the accepted point:
     y_{n+1} = x_n + (tau_n/tau_{n+1})(z_n - x_n) + alpha_n (x_n - x_{n-1}).
     """
-    sched = schedule if isinstance(schedule, Schedule) else make_schedule(schedule)
-    return _run(problem, "mfista", sched, options)
+    return run_algorithm(problem, "mfista", schedule, options)
 
 
 def ista_run(problem: CompositeProblem, options: SolverOptions, schedule=None) -> SolverTrace:
@@ -478,12 +479,13 @@ def ista_run(problem: CompositeProblem, options: SolverOptions, schedule=None) -
     Realized as the momentum iteration with the constant schedule tau = 1,
     which makes every alpha_n vanish. A non-unit schedule is rejected.
     """
-    return _run(problem, "ista", schedule, options)
+    return run_algorithm(problem, "ista", schedule, options)
 
 
 def run_algorithm(problem: CompositeProblem, algorithm: str, schedule_spec: Optional[dict], options: SolverOptions) -> SolverTrace:
-    """Dispatch on the algorithm name used by config files (classical momentum by default)."""
-    return _run(problem, algorithm, schedule_spec, options)
+    """One run of the algorithm named as in config files (classical momentum by default): a batch of one."""
+    (_, trace), = run_batch(problem, [(algorithm, schedule_spec, options)])
+    return trace
 
 
 # Rows per write: the cells of one chunk stay near 0.3 MB however long the

@@ -238,7 +238,9 @@ def test_batch_checks_every_run_before_the_first_iteration(monkeypatch):
     good = ("fista", CLASSICAL, SolverOptions(max_iters=10))
     for bad, message in ((("newton", None, SolverOptions(max_iters=10)), "unknown algorithm"),
                          (("fista", CLASSICAL, SolverOptions(max_iters=0)), "max_iters"),
-                         (("ista", CONST2, SolverOptions(max_iters=10)), "ista requires")):
+                         (("ista", CONST2, SolverOptions(max_iters=10)), "ista requires"),
+                         (("fista", {"kind": "custom", "values": [1.0, 1.5]}, SolverOptions(max_iters=10)),
+                          "exhausted after 2 values")):
         with pytest.raises(ParameterError, match=message):
             list(solvers.run_batch(problem, [good, bad]))
     assert calls == []

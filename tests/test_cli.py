@@ -85,6 +85,37 @@ def test_run_ista_with_momentum_schedule_exits_3(tmp_path):
     assert cli.main(["run", str(cfg)]) == 3
 
 
+NAN = float("nan")
+LASSO_SPEC = {"name": "lasso", "dim": 4, "seed": 1}
+QUAD_SPEC = QUAD_RUN["problem"]
+
+
+@pytest.mark.parametrize("problem, schedule", [
+    (dict(LASSO_SPEC, dim="ten"), None),
+    (dict(LASSO_SPEC, rows=NAN), None),
+    (dict(QUAD_SPEC, diag=[1.0, "x"]), None),
+    (dict(LASSO_SPEC, seed=None), None),
+    (dict(QUAD_SPEC, g={"kind": "l1", "weight": "w"}), None),
+    (dict(LASSO_SPEC, condition=NAN), None),
+    (dict(LASSO_SPEC, dim=2.7), None),
+    (dict(QUAD_SPEC, g={"kind": "box", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0]}), None),
+    (dict(LASSO_SPEC, seed=-1), None),
+    ({"name": "quadratic", "dim": -1}, None),
+    (QUAD_SPEC, {"kind": "chambolle_dossal", "rho": "x"}),
+    (QUAD_SPEC, {"kind": "classical", "tau1": None}),
+    (QUAD_SPEC, {"kind": "custom", "values": 5}),
+    (QUAD_SPEC, {"kind": "custom", "values": [1, "x"]}),
+], ids=["dim-str", "rows-nan", "diag-str", "seed-null", "weight-str", "condition-nan", "dim-fraction",
+        "box-lengths", "seed-negative", "dim-negative", "rho-str", "tau1-null", "values-number", "values-str"])
+def test_run_malformed_spec_value_exits_3(tmp_path, capsys, problem, schedule):
+    run = dict(QUAD_RUN, problem=problem, schedule=schedule or QUAD_RUN["schedule"], max_iters=20,
+               oracle_budget=100)
+    cfg = write_config(tmp_path / "c.json", [run])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run 'q': ") and "Traceback" not in err
+
+
 def test_run_duplicate_names_exit_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", [QUAD_RUN, dict(QUAD_RUN)])
     assert cli.main(["run", str(cfg)]) == 2
@@ -122,7 +153,6 @@ def test_run_solves_each_distinct_oracle_once(tmp_path, monkeypatch):
     monkeypatch.setattr(diagnostics, "reference_min", counting_solve)
     cfg = write_config(tmp_path / "c.json", [dict(LASSO_RUN, name=f"l{i}") for i in range(4)])
     for jobs, out in (("2", "par"), ("1", "seq")):
-        monkeypatch.setattr(diagnostics, "_reference_cache", {})
         assert cli.main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / out)]) == 0
     assert len(solves.read_text().splitlines()) == 2
     outputs = sorted((tmp_path / "seq").iterdir())
