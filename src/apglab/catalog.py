@@ -233,6 +233,14 @@ def _number(spec: dict, key: str, default=None, *, integer: bool = False, ndims=
     return float(arr) if arr.ndim == 0 else arr.astype(float)
 
 
+def _only(spec: dict, keys) -> None:
+    """Reject the first key of spec, in sorted order, that its builder does not read."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ParameterError(f"{spec.get('name', spec.get('kind'))}: unknown key {unknown[0]!r}, "
+                             f"expected one of {sorted(keys)}")
+
+
 def build_nonsmooth(spec: Optional[dict], dim: int) -> NonsmoothTerm:
     """Resolve the ``g`` field of a problem spec in dimension dim."""
     if spec is None:
@@ -241,10 +249,13 @@ def build_nonsmooth(spec: Optional[dict], dim: int) -> NonsmoothTerm:
         raise ParameterError(f"nonsmooth spec must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
     if kind == "zero":
+        _only(spec, ("kind",))
         return make_zero()
     if kind == "l1":
+        _only(spec, ("kind", "weight"))
         return make_l1(_number(spec, "weight", 1.0))
     if kind == "box":
+        _only(spec, ("kind", "lo", "hi"))
         if "lo" not in spec or "hi" not in spec:
             raise ParameterError("box spec needs 'lo' and 'hi'")
         lo, hi = _number(spec, "lo", ndims=(0, 1)), _number(spec, "hi", ndims=(0, 1))
@@ -262,18 +273,19 @@ def _resolve_gamma(spec: dict, beta: float) -> float:
 
 
 def _quadratic_problem(spec: dict) -> CompositeProblem:
-    dim = _number(spec, "dim", 1, integer=True)
-    if dim < 1:
-        raise ParameterError(f"quadratic: dim must be >= 1, got {dim}")
-    if "matrix" in spec:
+    # the matrix, else its diagonal, else dim (default 1) sets the dimension
+    shape_key = next((key for key in ("matrix", "diag") if key in spec), "dim")
+    _only(spec, ("name", "b", "g", "gamma", shape_key))
+    if shape_key == "matrix":
         a = _number(spec, "matrix", ndims=(2,))
-        dim = a.shape[0]
-    elif "diag" in spec:
-        diag = _number(spec, "diag", ndims=(1,))
-        a = np.diag(diag)
-        dim = diag.shape[0]
+    elif shape_key == "diag":
+        a = np.diag(_number(spec, "diag", ndims=(1,)))
     else:
+        dim = _number(spec, "dim", 1, integer=True)
+        if dim < 1:
+            raise ParameterError(f"quadratic: dim must be >= 1, got {dim}")
         a = np.eye(dim)
+    dim = a.shape[0]
     b = _number(spec, "b", np.zeros(dim), ndims=(1,))
     smooth = make_quadratic(a, b)
     g = build_nonsmooth(spec.get("g"), dim)
@@ -309,6 +321,7 @@ def _quadratic_problem(spec: dict) -> CompositeProblem:
 
 
 def _lasso_problem(spec: dict) -> CompositeProblem:
+    _only(spec, ("name", "dim", "seed", "rows", "lam_scale", "condition", "gamma"))
     if "dim" not in spec:
         raise ParameterError("lasso spec needs 'dim'")
     if "seed" not in spec:
@@ -342,6 +355,13 @@ def _lasso_problem(spec: dict) -> CompositeProblem:
     )
 
 
+# the 1-d problems without a minimizer: their smooth term and inf h
+ONE_D_PROBLEMS = {
+    "affine-descent": (make_affine_descent, -math.inf),
+    "unattained": (make_unattained_infimum, 0.0),
+}
+
+
 def build_problem(spec: dict) -> CompositeProblem:
     """Build a catalog problem from its config-file spec."""
     if not isinstance(spec, dict) or "name" not in spec:
@@ -351,26 +371,17 @@ def build_problem(spec: dict) -> CompositeProblem:
         return _quadratic_problem(spec)
     if name == "lasso":
         return _lasso_problem(spec)
-    if name == "affine-descent":
-        smooth = make_affine_descent()
+    if name in ONE_D_PROBLEMS:
+        _only(spec, ("name", "g", "gamma"))
+        make_smooth, inf_h = ONE_D_PROBLEMS[name]
+        smooth = make_smooth()
         return CompositeProblem(
             smooth=smooth,
             nonsmooth=build_nonsmooth(spec.get("g"), 1),
             gamma=_resolve_gamma(spec, smooth.beta),
             dim=1,
-            name="affine-descent",
+            name=name,
             argmin_nonempty=False,
-            inf_h=-math.inf,
-        )
-    if name == "unattained":
-        smooth = make_unattained_infimum()
-        return CompositeProblem(
-            smooth=smooth,
-            nonsmooth=build_nonsmooth(spec.get("g"), 1),
-            gamma=_resolve_gamma(spec, smooth.beta),
-            dim=1,
-            name="unattained",
-            argmin_nonempty=False,
-            inf_h=0.0,
+            inf_h=inf_h,
         )
     raise ParameterError(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")

@@ -29,18 +29,16 @@ from .diagnostics import (
 from .errors import AdmissibilityError, ConfigError, OracleUnreliable, ParameterError
 from .plotting import render_line_chart
 from .schedules import (
+    FAMILIES,
     SCHEDULE_KINDS,
     alphas,
-    attouch_delta_bound,
     attouch_pair_deltas,
     blowsup_pair_terms,
     check_admissibility,
     canonical_schedule_spec,
     classical_lower_bound_check,
     folklore_expansion_check,
-    kappa_bound,
     prefix,
-    tau_sup_bound,
 )
 # run_algorithm is not called here, but stays importable under this name:
 # perfbench/tracer.py hooks apglab.cli.run_algorithm.
@@ -101,6 +99,12 @@ def _resolve_run_reference(run: RunSpec) -> ReferenceInfo:
     return resolve_reference(build_problem(run.problem), budget=run.oracle_budget)
 
 
+def _failure(name: str, verdict: dict) -> str:
+    """check(worst=..., n=...) for the CLI's FAIL line, from the report's verdict."""
+    worst, at = verdict["worst_residual"], verdict["location_n"]
+    return f"{name}(worst={'none' if worst is None else format(worst, '.3g')}, n={'none' if at is None else at})"
+
+
 def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
     """Worker for one batch of runs sharing a problem: solve, write trace CSVs + report JSONs.
 
@@ -125,7 +129,7 @@ def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
         results[i] = {
             "name": run.name,
             "ok": report_ok(report),
-            "failed": failed_checks(report),
+            "failed": [_failure(name, report["checks"][name]) for name in failed_checks(report)],
             "records": len(trace.n),
             "diverging": trace.diverging,
             "csv": csv_path,
@@ -254,12 +258,13 @@ def cmd_schedule(args) -> int:
               f"square {report.worst_square:.3e}, increment margin {report.worst_increment:.3e})")
     else:
         print(f"admissibility: VIOLATED at index {report.first_violation}: {report.reason}")
-    kb = kappa_bound(spec)
-    ts = tau_sup_bound(spec)
+    family = FAMILIES[spec["kind"]]
+    kb = family.kappa(spec)
+    ts = family.tau_sup(spec)
     print(f"kappa bound (sup n/tau_n): {kb if math.isfinite(kb) else 'unbounded'}; "
           f"prefix max {float(np.max(n_over_tau)):.12g}")
     print(f"tau sup bound: {ts if math.isfinite(ts) else 'unbounded'}")
-    db = attouch_delta_bound(spec)
+    db = family.delta(spec)
     prefix_delta = float(np.nanmax(running_delta)) if rows > 1 else 0.0
     print(f"attouch delta: prefix max {prefix_delta:.12g}, "
           f"analytic bound {db if math.isfinite(db) else 'none'}")

@@ -7,16 +7,16 @@ operationalized as decade-scale trends, which are falsifiable on a finite
 prefix without pretending to prove a limit.
 """
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import OracleNotApplicable, OracleUnreliable
 from .problem import CompositeProblem, NUMERIC_TOL, evaluate_h
-from .schedules import attouch_delta_bound, kappa_bound, tau_sup_bound
+from .schedules import FAMILIES
 from .solvers import SolverOptions, SolverTrace, ista_run, mfista_run
 
 PASS = "pass"
@@ -38,7 +38,7 @@ LYAPUNOV_NOISE = 1e-13
 STEP_SETTLED_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Verdict:
     status: str
     worst_residual: Optional[float] = None
@@ -46,19 +46,14 @@ class Verdict:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "worst_residual": self.worst_residual,
-            "location_n": self.location_n,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
 
 def _na(detail: str) -> Verdict:
     return Verdict(status=NOT_APPLICABLE, detail=detail)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class OracleResult:
     min_h: float
     error_bar: float
@@ -68,7 +63,7 @@ class OracleResult:
     budget: int
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ReferenceInfo:
     """Best available knowledge of min h for a run.
 
@@ -108,11 +103,10 @@ def reference_min(problem: CompositeProblem, budget: int = 50_000) -> OracleResu
     """
     if problem.argmin_nonempty is False:
         raise OracleNotApplicable(f"{problem.name}: flagged as having no minimizer")
-    opts = SolverOptions(max_iters=budget, record_every=budget, fast_forward=False)
-    stage1 = ista_run(problem, opts)
+    stage1 = ista_run(problem, SolverOptions(max_iters=budget, record_every=budget, fast_forward=False))
     h_ista = float(stage1.h[-1])
-    opts2 = SolverOptions(max_iters=budget, record_every=budget, x0=stage1.final_x)
-    stage2 = mfista_run(problem, {"kind": "classical"}, opts2)
+    stage2 = mfista_run(problem, {"kind": "classical"},
+                        SolverOptions(max_iters=budget, record_every=budget, x0=stage1.final_x))
     h_mf = float(stage2.h[-1])
     disagreement = abs(h_ista - h_mf)
     if disagreement > ORACLE_AGREEMENT_TOL:
@@ -120,40 +114,18 @@ def reference_min(problem: CompositeProblem, budget: int = 50_000) -> OracleResu
             f"{problem.name}: reference stages disagree by {disagreement:.3e}",
             disagreement=disagreement,
         )
-    if h_ista <= h_mf:
-        best, witness = h_ista, stage1.final_x
-    else:
-        best, witness = h_mf, stage2.final_x
-    return OracleResult(
-        min_h=best,
-        error_bar=disagreement,
-        argmin=witness,
-        ista_value=h_ista,
-        mfista_value=h_mf,
-        budget=budget,
-    )
+    best, witness = (h_ista, stage1.final_x) if h_ista <= h_mf else (h_mf, stage2.final_x)
+    return OracleResult(best, disagreement, witness, h_ista, h_mf, budget)
 
 
 def resolve_reference(problem: CompositeProblem, budget: int = 50_000) -> ReferenceInfo:
     """Pick the reference minimum: catalog metadata first, oracle second."""
     if problem.known_min is not None:
-        return ReferenceInfo(
-            min_h=problem.known_min,
-            error_bar=0.0,
-            witness=problem.known_argmin,
-            source="catalog",
-            inf_h=problem.known_min,
-        )
+        return ReferenceInfo(problem.known_min, 0.0, problem.known_argmin, "catalog", problem.known_min)
     if problem.argmin_nonempty is False:
-        return ReferenceInfo(min_h=None, error_bar=0.0, witness=None, source="none", inf_h=problem.inf_h)
+        return ReferenceInfo(None, 0.0, None, "none", problem.inf_h)
     oracle = reference_min(problem, budget)
-    return ReferenceInfo(
-        min_h=oracle.min_h,
-        error_bar=oracle.error_bar,
-        witness=oracle.argmin,
-        source="oracle",
-        inf_h=oracle.min_h,
-    )
+    return ReferenceInfo(oracle.min_h, oracle.error_bar, oracle.argmin, "oracle", oracle.min_h)
 
 
 def beta_z_from_trace(trace: SolverTrace, witness: np.ndarray, witness_h: float) -> Optional[float]:
@@ -165,44 +137,29 @@ def beta_z_from_trace(trace: SolverTrace, witness: np.ndarray, witness_h: float)
     return tau1 * tau1 * (trace.h1 - witness_h) + float(u1 @ u1) / (2.0 * trace.gamma)
 
 
-def _decades(n: np.ndarray) -> np.ndarray:
-    """Integer decade index per recorded n; the half offset dodges any
-    floating log10 landing a hair under an exact power of ten."""
-    return np.floor(np.log10(n.astype(float) + 0.5)).astype(int)
+class Decades:
+    """Decade index of each recorded n, and the complete decades among them.
 
-
-def complete_decade_maxes(n: np.ndarray, values: np.ndarray):
-    """Per-decade maxima over the complete decades of the recorded grid.
-
-    A decade k (n in [10^k, 10^{k+1})) counts as complete when the trace
-    extends to its upper end; the partial decade at the tail is dropped.
-    Returns (decade indices, maxima) as lists.
+    Decade k holds n in [10^k, 10^{k+1}); it is complete when the trace
+    extends to its upper end, so the partial decade at the tail is left out.
     """
-    if n.size == 0:
-        return [], []
-    ks = _decades(n)
-    n_last = int(n.max())
-    out_k, out_m = [], []
-    for k in range(int(ks.min()), int(ks.max()) + 1):
-        if 10 ** (k + 1) - 1 > n_last:
-            break
-        sel = values[ks == k]
-        if sel.size == 0:
-            continue
-        out_k.append(k)
-        out_m.append(float(np.max(sel)))
-    return out_k, out_m
+
+    def __init__(self, n: np.ndarray):
+        # the half offset dodges any floating log10 landing a hair under an
+        # exact power of ten
+        self.index = np.floor(np.log10(n.astype(float) + 0.5)).astype(int)
+        n_last = int(n.max()) if n.size else 0
+        ks = range(int(self.index.min()), int(self.index.max()) + 1) if n.size else ()
+        self.complete = [k for k in ks if 10 ** (k + 1) - 1 <= n_last and np.any(self.index == k)]
+        # rows of the highest complete decade
+        self.last = self.index == self.complete[-1] if self.complete else np.zeros(n.shape, dtype=bool)
+
+    def maxes(self, values: np.ndarray) -> list:
+        """Maximum of values over each complete decade, in decade order."""
+        return [float(np.max(values[self.index == k])) for k in self.complete]
 
 
-def last_complete_decade_mask(n: np.ndarray) -> np.ndarray:
-    """Boolean mask selecting rows in the highest complete decade."""
-    ks, _ = complete_decade_maxes(n, np.zeros_like(n, dtype=float))
-    if not ks:
-        return np.zeros(n.shape, dtype=bool)
-    return _decades(n) == ks[-1]
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RateFit:
     """Least-squares power-law fit of the objective gap.
 
@@ -233,121 +190,265 @@ def fit_rate(ns: np.ndarray, gaps: np.ndarray) -> RateFit:
     if count < 4:
         return RateFit(math.nan, math.nan, int(np.min(ns[pos])), int(n_hi), count, flagged, False)
     slope, intercept = np.polyfit(np.log(ns[window]), np.log(gaps[window]), 1)
-    return RateFit(
-        p=float(-slope),
-        C=float(math.exp(intercept)),
-        n_lo=int(np.min(ns[window])),
-        n_hi=int(n_hi),
-        points=count,
-        underflow_flagged=flagged,
-        ok=True,
-    )
+    return RateFit(float(-slope), float(math.exp(intercept)), int(np.min(ns[window])), int(n_hi), count,
+                   flagged, True)
 
 
-def certify_O_one_over_n2(trace: SolverTrace, min_h: Optional[float], witness: Optional[np.ndarray],
-                          witness_h: Optional[float], error_bar: float = 0.0) -> Verdict:
-    """Check h(x_n) - min_h <= beta_z kappa^2 / n^2 at every recorded n.
+@dataclasses.dataclass(frozen=True)
+class RunFacts:
+    """What the checks of one run read, each computed once per report.
+
+    kappa, tau_sup and delta are the schedule family's bounds (see
+    :class:`~apglab.schedules.Family`) on the trace's canonical spec;
+    beta_z is the certificate constant at the reference witness, None
+    without a witness in dom h or a complete trace head; pairs masks the
+    pairs of records (i, i+1) one iteration apart.
+    """
+
+    trace: SolverTrace
+    reference: ReferenceInfo
+    argmin_nonempty: Optional[bool]
+    liminf_threshold: float
+    kappa: float
+    tau_sup: float
+    delta: float
+    beta_z: Optional[float]
+    decades: Decades
+    pairs: np.ndarray
+
+
+def run_facts(trace: SolverTrace, problem: CompositeProblem, reference: ReferenceInfo,
+              liminf_threshold: float = -1e6) -> RunFacts:
+    """The facts of one run, from its trace, problem and reference minimum."""
+    spec = trace.schedule_spec
+    family = FAMILIES[spec["kind"]]
+    beta_z = None
+    if reference.witness is not None:
+        witness_h = evaluate_h(problem, reference.witness)
+        if math.isfinite(witness_h):
+            beta_z = beta_z_from_trace(trace, reference.witness, witness_h)
+    return RunFacts(trace, reference, problem.argmin_nonempty, liminf_threshold, family.kappa(spec),
+                    family.tau_sup(spec), family.delta(spec), beta_z, Decades(trace.n), np.diff(trace.n) == 1)
+
+
+def _worst(resid: np.ndarray, n: np.ndarray, tol: float, detail: str, lowest: bool = False) -> Verdict:
+    """Verdict on the largest residual against tol, or the smallest against -tol when lowest, at its n."""
+    k = int(np.argmin(resid) if lowest else np.argmax(resid))
+    worst = float(resid[k])
+    return Verdict(PASS if (worst >= -tol if lowest else worst <= tol) else FAIL, worst, int(n[k]), detail)
+
+
+def kappa_form(f: RunFacts, n):
+    """The O(1/n^2) bound beta_z kappa^2 / n^2 at n, a float or an array; a bound only for beta_z >= 0."""
+    return f.beta_z * f.kappa * f.kappa / (n * n)
+
+
+def _keyineq(f: RunFacts) -> Verdict:
+    key = f.trace.key_residual
+    finite = np.isfinite(key)
+    if not np.any(finite):
+        return _na("no residuals computable (start outside dom h)")
+    return _worst(key[finite], f.trace.n[finite], MONOTONE_TOL, "min one-step key-inequality residual",
+                  lowest=True)
+
+
+def _single_record(t: SolverTrace) -> Optional[Verdict]:
+    if t.n.size < 2:
+        return Verdict(PASS, 0.0, int(t.n[0]) if t.n.size else None, "single record")
+
+
+def _monotone_h(f: RunFacts) -> Optional[Verdict]:
+    t = f.trace
+    if t.algorithm != "mfista":
+        return None
+    return _single_record(t) or _worst(np.diff(t.h), t.n[1:], 0.0, "h(x_n) nonincreasing by construction")
+
+
+def _sigma_monotone(f: RunFacts) -> Verdict:
+    t = f.trace
+    return _single_record(t) or _worst(np.diff(t.sigma), t.n[1:], MONOTONE_TOL, "energy sigma_n nonincreasing")
+
+
+def _pair_ledger(f: RunFacts, resid: np.ndarray, detail: str) -> Verdict:
+    """_worst over the consecutive pairs only, located at the pair's first n."""
+    if not np.any(f.pairs):
+        return _na("needs consecutive records (record_every=1)")
+    return _worst(np.where(f.pairs, resid, -math.inf), f.trace.n[:-1], MONOTONE_TOL, detail)
+
+
+def _descent_ledger(f: RunFacts) -> Optional[Verdict]:
+    t = f.trace
+    if t.algorithm == "mfista":
+        return None
+    lhs = (1.0 - t.alpha[:-1] ** 2) * t.step_norm[:-1] ** 2 / (2.0 * t.gamma)
+    return _pair_ledger(f, lhs - (t.sigma[:-1] - t.sigma[1:]),
+                        "per-step descent accounting (1-alpha^2)||dx||^2/(2 gamma) <= sigma_n - sigma_{n+1}")
+
+
+def _mfista_one_step(f: RunFacts) -> Optional[Verdict]:
+    t = f.trace
+    if t.algorithm != "mfista":
+        return None
+    ratio = (t.tau[:-1] / t.tau[1:]) ** 2
+    rhs = t.h[:-1] + ratio * (t.sigma[:-1] - t.h[:-1])
+    return _pair_ledger(f, t.sigma[1:] - rhs, "one-step energy contraction of the monotone variant")
+
+
+def _energy_na(t: SolverTrace) -> Optional[Verdict]:
+    if not t.anchored:
+        return _na("no anchor point")
+    if t.lyapunov.size < 2 or not np.all(np.isfinite(t.lyapunov)):
+        return _na("energy column incomplete")
+
+
+def _lyapunov(f: RunFacts) -> Verdict:
+    t = f.trace
+    if na := _energy_na(t):
+        return na
+    # E_n is assembled from tau_n^2 * (h_n - h(z)), so its rounding noise
+    # grows like tau^2; an absolute tolerance would start failing on clean
+    # runs once tau^2 * eps outgrows it.
+    href = max(1.0, abs(t.anchor_h)) if t.anchor_h is not None else 1.0
+    noise = np.maximum(MONOTONE_TOL, LYAPUNOV_NOISE * t.tau[1:] ** 2 * href)
+    return _worst(np.diff(t.lyapunov) - noise, t.n[1:], 0.0,
+                  "Lyapunov energy E_n nonincreasing (excess over tau^2-scaled rounding allowance)")
+
+
+def _fejer(f: RunFacts) -> Verdict:
+    t = f.trace
+    if na := _energy_na(t):
+        return na
+    if t.algorithm == "mfista":
+        return _na("ledger defined through the accepted iterates only")
+    return _worst(2.0 * t.gamma * (t.lyapunov[0] - t.lyapunov), t.n, ACCUMULATED_TOL,
+                  "accumulated quasi-Fejer inequality (telescoped against E_1)", lowest=True)
+
+
+def _fejer_distance(f: RunFacts) -> Verdict:
+    t, mask, fd = f.trace, f.decades.last, f.trace.fejer_dist
+    if not (t.anchored and t.algorithm in ("fista", "ista") and fd.size and np.all(np.isfinite(fd))):
+        return _na("needs an anchored non-monotone run")
+    if not np.any(mask):
+        return _na("no complete decade recorded")
+    step = float(np.max(t.step_norm[mask]))
+    if step > STEP_SETTLED_TOL:
+        # Distance convergence is asymptotic; while the tail is still
+        # moving, a finite window says nothing either way.
+        return _na(f"tail still moving (max step {step:.3e} in the last complete decade)")
+    osc = float(np.max(fd[mask]) - np.min(fd[mask]))
+    return Verdict(PASS if osc < OSCILLATION_TOL else FAIL, osc, int(t.n[mask][0]),
+                   "last-decade oscillation of ||z_n - z||")
+
+
+def _rate_O_n2(f: RunFacts) -> Verdict:
+    """h(x_n) - min_h <= beta_z kappa^2 / n^2 at every recorded n.
 
     Applies to the plain accelerated iteration with an analytically
     bounded kappa; the margin must clear the oracle error bar or the
     verdict degrades to inconclusive.
     """
-    if trace.algorithm == "mfista":
+    t, ref = f.trace, f.reference
+    if t.algorithm == "mfista":
         return _na("certificate stated for the non-monotone iteration")
-    kappa = kappa_bound(trace.schedule_spec)
-    if not math.isfinite(kappa):
+    if not math.isfinite(f.kappa):
         return _na("schedule has no finite kappa bound")
-    if min_h is None or witness is None or witness_h is None:
+    if ref.min_h is None or ref.witness is None:
         return _na("no reference minimizer")
-    bz = beta_z_from_trace(trace, witness, witness_h)
-    if bz is None:
+    if f.beta_z is None:
         return _na("trace head incomplete")
-    n = trace.n.astype(float)
-    bound = bz * kappa * kappa / (n * n)
-    gap = trace.h - min_h
-    viol = gap - bound
+    viol = (t.h - ref.min_h) - kappa_form(f, t.n.astype(float))
     k = int(np.argmax(viol))
-    worst = float(viol[k])
+    worst, at = float(viol[k]), int(t.n[k])
+    constants = f"beta_z={f.beta_z:.6g} kappa={f.kappa:g}"
     if worst > RATE_BOUND_SLACK:
-        return Verdict(FAIL, worst, int(trace.n[k]), f"bound exceeded; beta_z={bz:.6g} kappa={kappa:g}")
-    if -worst <= error_bar:
-        return Verdict(INCONCLUSIVE, worst, int(trace.n[k]), "margin within oracle error bar")
-    return Verdict(PASS, worst, int(trace.n[k]), f"beta_z={bz:.6g} kappa={kappa:g}")
+        return Verdict(FAIL, worst, at, f"bound exceeded; {constants}")
+    if -worst <= ref.error_bar:
+        return Verdict(INCONCLUSIVE, worst, at, "margin within oracle error bar")
+    return Verdict(PASS, worst, at, constants)
 
 
-def certify_bounded_tau_rates(trace: SolverTrace, min_h: Optional[float], error_bar: float,
-                              argmin_nonempty: Optional[bool]) -> dict:
-    """Bounded-schedule limit checks: shared sigma/h limit, o(1/n) gap
-    decay by decade maxima, and summability tails.
+def _bounded_na(f: RunFacts, needs_min: bool = True) -> Optional[Verdict]:
+    """Gate of the bounded-schedule limit checks (sup tau_n < inf)."""
+    if not math.isfinite(f.tau_sup):
+        return _na("schedule unbounded")
+    if f.trace.n.size == 0:
+        return _na("empty trace")
+    if f.argmin_nonempty is False:
+        return _na("limit statements need a minimizer")
+    if needs_min and f.reference.min_h is None:
+        return _na("no reference minimum")
 
-    Returns verdicts keyed sigma_h_shared_limit, rate_o_n, summability_tails.
-    """
-    out = {}
-    tsup = tau_sup_bound(trace.schedule_spec)
-    if not math.isfinite(tsup):
-        na = _na("schedule unbounded")
-        return {"sigma_h_shared_limit": na, "rate_o_n": na, "summability_tails": na}
 
-    if trace.n.size == 0:
-        na = _na("empty trace")
-        return {"sigma_h_shared_limit": na, "rate_o_n": na, "summability_tails": na}
+def _sigma_h_shared_limit(f: RunFacts) -> Verdict:
+    t = f.trace
+    return _bounded_na(f, needs_min=False) or _worst(np.abs(t.sigma[-1:] - t.h[-1:]), t.n[-1:], ACCUMULATED_TOL,
+                                                     "final |sigma - h|")
 
-    if argmin_nonempty is False:
-        na = _na("limit statements need a minimizer")
-        return {"sigma_h_shared_limit": na, "rate_o_n": na, "summability_tails": na}
 
-    resid = abs(float(trace.sigma[-1]) - float(trace.h[-1]))
-    loc = int(trace.n[-1])
-    out["sigma_h_shared_limit"] = Verdict(
-        PASS if resid <= ACCUMULATED_TOL else FAIL, resid, loc,
-        "final |sigma - h|",
-    )
-    if min_h is None:
-        out["rate_o_n"] = _na("no reference minimum")
-        out["summability_tails"] = _na("no reference minimum")
-        return out
-
-    scaled = trace.n.astype(float) * (trace.h - min_h)
-    ks, maxes = complete_decade_maxes(trace.n, scaled)
+def _rate_o_n(f: RunFacts) -> Verdict:
+    """o(1/n) gap decay: the last three decade maxima of n (h - min_h) decrease."""
+    if na := _bounded_na(f):
+        return na
+    t = f.trace
+    maxes = f.decades.maxes(t.n.astype(float) * (t.h - f.reference.min_h))
     if len(maxes) < 3:
-        out["rate_o_n"] = _na(f"only {len(maxes)} complete decades recorded, need 3")
-    else:
-        tail = maxes[-3:]
-        diffs = [tail[1] - tail[0], tail[2] - tail[1]]
-        worst = max(diffs)
-        slack = float(trace.n[-1]) * error_bar
-        if tail[2] == 0.0 and tail[0] >= tail[1] >= tail[2]:
-            # The gap reached exactly zero; n*(gap) cannot keep strictly
-            # decreasing but its limit is certainly 0.
-            out["rate_o_n"] = Verdict(PASS, worst, 10 ** ks[-1], "gap reached exactly zero in the tail")
-        elif worst < -slack:
-            out["rate_o_n"] = Verdict(PASS, worst, 10 ** ks[-1], "last three decade maxima of n*(h-min_h)")
-        elif worst < slack:
-            out["rate_o_n"] = Verdict(INCONCLUSIVE, worst, 10 ** ks[-1], "decrease within oracle error bar")
-        else:
-            out["rate_o_n"] = Verdict(FAIL, worst, 10 ** ks[-1], "decade maxima of n*(h-min_h) not decreasing")
+        return _na(f"only {len(maxes)} complete decades recorded, need 3")
+    tail = maxes[-3:]
+    worst = max(tail[1] - tail[0], tail[2] - tail[1])
+    slack = float(t.n[-1]) * f.reference.error_bar
+    at = 10 ** f.decades.complete[-1]
+    if tail[2] == 0.0 and tail[0] >= tail[1] >= tail[2]:
+        # The gap reached exactly zero; n*(gap) cannot keep strictly
+        # decreasing but its limit is certainly 0.
+        return Verdict(PASS, worst, at, "gap reached exactly zero in the tail")
+    if worst < -slack:
+        return Verdict(PASS, worst, at, "last three decade maxima of n*(h-min_h)")
+    if worst < slack:
+        return Verdict(INCONCLUSIVE, worst, at, "decrease within oracle error bar")
+    return Verdict(FAIL, worst, at, "decade maxima of n*(h-min_h) not decreasing")
 
-    if trace.record_every != 1:
-        out["summability_tails"] = _na("partial sums need record_every=1")
-        return out
-    mask = last_complete_decade_mask(trace.n)
+
+def _summability_tails(f: RunFacts) -> Verdict:
+    t, mask = f.trace, f.decades.last
+    if na := _bounded_na(f):
+        return na
+    if t.record_every != 1:
+        return _na("partial sums need record_every=1")
     if not np.any(mask):
-        out["summability_tails"] = _na("no complete decade recorded")
-        return out
-    sq = trace.step_norm[mask] ** 2
-    tail_plain = float(np.sum(sq))
-    tail_weighted = float(np.sum(trace.n[mask].astype(float) * sq))
-    worst = max(tail_plain, tail_weighted)
-    out["summability_tails"] = Verdict(
-        PASS if worst < ACCUMULATED_TOL else FAIL,
-        worst,
-        int(trace.n[mask][0]),
-        "last-decade tails of sum ||dx||^2 and sum n ||dx||^2",
-    )
-    return out
+        return _na("no complete decade recorded")
+    sq = t.step_norm[mask] ** 2
+    worst = max(float(np.sum(sq)), float(np.sum(t.n[mask].astype(float) * sq)))
+    return Verdict(PASS if worst < ACCUMULATED_TOL else FAIL, worst, int(t.n[mask][0]),
+                   "last-decade tails of sum ||dx||^2 and sum n ||dx||^2")
 
 
-def certify_divergence(trace: SolverTrace, argmin_nonempty: Optional[bool]) -> Verdict:
+def _rate_tau2_decay(f: RunFacts) -> Verdict:
+    """Monotone-variant improved rate: tau_n^2 (h(x_n) - min_h) -> 0.
+
+    Gated on the strict Attouch condition (delta bound < 1) and an
+    unbounded schedule; tested as the last complete decade's maximum
+    falling below one percent of the first's.
+    """
+    t, min_h = f.trace, f.reference.min_h
+    if t.algorithm != "mfista":
+        return _na("improved rate stated for the monotone variant")
+    if min_h is None:
+        return _na("no reference minimum")
+    if not f.delta < 1.0:
+        return _na(f"attouch delta bound {f.delta:g} not < 1")
+    if not math.isinf(f.tau_sup):
+        return _na("schedule bounded; tau_n^2 gap decay is not informative")
+    maxes = f.decades.maxes(t.tau * t.tau * (t.h - min_h))
+    if len(maxes) < 2:
+        return _na(f"only {len(maxes)} complete decades recorded, need 2")
+    resid = maxes[-1] - maxes[0] / 100.0
+    at = 10 ** f.decades.complete[-1]
+    if resid < 0.0:
+        return Verdict(PASS, resid, at, f"decade max fell {maxes[0] / max(maxes[-1], 1e-300):.3g}x")
+    return Verdict(FAIL, resid, at, "tau^2-scaled gap did not decay 100x")
+
+
+def _divergence_xnorm(f: RunFacts) -> Verdict:
     """No-minimizer runs must blow up in norm.
 
     Checks that x_norm is nondecreasing over the last half of the records
@@ -356,30 +457,28 @@ def certify_divergence(trace: SolverTrace, argmin_nonempty: Optional[bool]) -> V
     growth the arithmetic midpoint would sit a constant factor below the
     endpoint regardless of how decisively the run diverges.
     """
-    if argmin_nonempty is not False:
+    t = f.trace
+    if f.argmin_nonempty is not False:
         return _na("problem has (or may have) a minimizer")
-    if trace.n.size < 4:
+    if t.n.size < 4:
         return Verdict(INCONCLUSIVE, None, None, "too few records")
-    xs = trace.x_norm
+    xs = t.x_norm
     half = xs[xs.size // 2 :]
-    drops = np.diff(half) + 1e-12 * np.maximum(1.0, half[:-1])
-    if np.any(drops < 0.0):
-        k = int(np.argmax(np.diff(half) < -1e-12 * np.maximum(1.0, half[:-1])))
-        return Verdict(FAIL, float(np.min(np.diff(half))), int(trace.n[xs.size // 2 + k]),
+    steps = np.diff(half)
+    drops = steps < -1e-12 * np.maximum(1.0, half[:-1])
+    if np.any(drops):
+        return Verdict(FAIL, float(np.min(steps)), int(t.n[xs.size // 2 + int(np.argmax(drops))]),
                        "x_norm not eventually nondecreasing")
-    n_first = float(trace.n[0])
-    n_last = float(trace.n[-1])
-    target = math.sqrt(n_first * n_last)
-    mid = int(np.argmin(np.abs(trace.n.astype(float) - target)))
+    mid = int(np.argmin(np.abs(t.n.astype(float) - math.sqrt(float(t.n[0]) * float(t.n[-1])))))
     ratio_resid = DIVERGENCE_FACTOR * float(xs[mid]) - float(xs[-1])
     if ratio_resid >= 0.0:
-        return Verdict(FAIL, ratio_resid, int(trace.n[mid]),
+        return Verdict(FAIL, ratio_resid, int(t.n[mid]),
                        f"final x_norm {xs[-1]:.6g} not {DIVERGENCE_FACTOR:g}x the midpoint {xs[mid]:.6g}")
-    return Verdict(PASS, ratio_resid, int(trace.n[mid]), f"growth factor {float(xs[-1]) / max(float(xs[mid]), 1e-300):.3g}")
+    return Verdict(PASS, ratio_resid, int(t.n[mid]),
+                   f"growth factor {float(xs[-1]) / max(float(xs[mid]), 1e-300):.3g}")
 
 
-def certify_liminf_inf(trace: SolverTrace, reference: ReferenceInfo, kappa: float,
-                       beta_z: Optional[float], threshold: float = -1e6) -> Verdict:
+def _running_min(f: RunFacts) -> Verdict:
     """Running minimum of h approaches the best known lower bound.
 
     For inf h = -inf the check is a configured escape level; otherwise the
@@ -387,308 +486,100 @@ def certify_liminf_inf(trace: SolverTrace, reference: ReferenceInfo, kappa: floa
     certificate constant is available, with floors for the oracle error
     bar and for slow no-minimizer regimes.
     """
-    if trace.n.size == 0:
+    t, ref = f.trace, f.reference
+    if t.n.size == 0:
         return Verdict(INCONCLUSIVE, None, None, "empty trace")
-    rmin = float(np.min(trace.h))
-    loc = int(trace.n[int(np.argmin(trace.h))])
-    if reference.inf_h is not None and reference.inf_h == -math.inf:
-        if rmin < threshold:
-            return Verdict(PASS, rmin, loc, f"running min below {threshold:g}")
-        return Verdict(FAIL, rmin, loc, f"running min never fell below {threshold:g}")
-    ref = reference.min_h if reference.min_h is not None else reference.inf_h
-    if ref is None:
+    k = int(np.argmin(t.h))
+    rmin, at = float(t.h[k]), int(t.n[k])
+    if ref.inf_h is not None and ref.inf_h == -math.inf:
+        if rmin < f.liminf_threshold:
+            return Verdict(PASS, rmin, at, f"running min below {f.liminf_threshold:g}")
+        return Verdict(FAIL, rmin, at, f"running min never fell below {f.liminf_threshold:g}")
+    best = ref.min_h if ref.min_h is not None else ref.inf_h
+    if best is None:
         return _na("no lower-bound reference")
-    tol = max(1e-6, 10.0 * reference.error_bar)
-    if reference.min_h is not None and beta_z is not None and math.isfinite(kappa):
-        n_last = float(trace.n[-1])
-        tol = max(tol, beta_z * kappa * kappa / (n_last * n_last))
-    if reference.min_h is None:
+    tol = max(1e-6, 10.0 * ref.error_bar)
+    if ref.min_h is not None and f.beta_z is not None and math.isfinite(f.kappa):
+        tol = max(tol, kappa_form(f, float(t.n[-1])))
+    if ref.min_h is None:
         # Finite infimum with empty Argmin: approach is slow by nature
         # (the minimizing ray escapes), so only order-of-magnitude
         # agreement is meaningful on a desk-scale prefix.
         tol = max(tol, 1e-2)
-    resid = rmin - ref
+    resid = rmin - best
     if resid <= tol:
-        return Verdict(PASS, resid, loc, f"tolerance {tol:.3g}")
-    return Verdict(FAIL, resid, loc, f"running min misses the reference by {resid:.3g} > {tol:.3g}")
+        return Verdict(PASS, resid, at, f"tolerance {tol:.3g}")
+    return Verdict(FAIL, resid, at, f"running min misses the reference by {resid:.3g} > {tol:.3g}")
 
 
-def certify_tau2_decay(trace: SolverTrace, min_h: Optional[float]) -> Verdict:
-    """Monotone-variant improved rate: tau_n^2 (h(x_n) - min_h) -> 0.
-
-    Gated on the strict Attouch condition (delta bound < 1) and an
-    unbounded schedule; tested as the last complete decade's maximum
-    falling below one percent of the first's.
-    """
-    if trace.algorithm != "mfista":
-        return _na("improved rate stated for the monotone variant")
-    if min_h is None:
-        return _na("no reference minimum")
-    delta = attouch_delta_bound(trace.schedule_spec)
-    if not delta < 1.0:
-        return _na(f"attouch delta bound {delta:g} not < 1")
-    if not math.isinf(tau_sup_bound(trace.schedule_spec)):
-        return _na("schedule bounded; tau_n^2 gap decay is not informative")
-    scaled = trace.tau * trace.tau * (trace.h - min_h)
-    ks, maxes = complete_decade_maxes(trace.n, scaled)
-    if len(maxes) < 2:
-        return _na(f"only {len(maxes)} complete decades recorded, need 2")
-    resid = maxes[-1] - maxes[0] / 100.0
-    if resid < 0.0:
-        return Verdict(PASS, resid, 10 ** ks[-1],
-                       f"decade max fell {maxes[0] / max(maxes[-1], 1e-300):.3g}x")
-    return Verdict(FAIL, resid, 10 ** ks[-1], "tau^2-scaled gap did not decay 100x")
+# Every report check, in report order: a function of the run's facts that
+# returns its verdict, or None where the check is not stated for the
+# run's algorithm.
+CHECKS = (
+    ("keyineq", _keyineq),
+    ("monotone_h", _monotone_h),
+    ("sigma_monotone", _sigma_monotone),
+    ("descent_ledger", _descent_ledger),
+    ("mfista_one_step", _mfista_one_step),
+    ("lyapunov", _lyapunov),
+    ("fejer", _fejer),
+    ("fejer_distance", _fejer_distance),
+    ("rate_O_n2", _rate_O_n2),
+    ("sigma_h_shared_limit", _sigma_h_shared_limit),
+    ("rate_o_n", _rate_o_n),
+    ("summability_tails", _summability_tails),
+    ("rate_tau2_decay", _rate_tau2_decay),
+    ("divergence_xnorm", _divergence_xnorm),
+    ("running_min", _running_min),
+)
 
 
-def _consecutive_pairs(n: np.ndarray) -> np.ndarray:
-    """Mask over pairs (i, i+1) of records one iteration apart."""
-    return np.diff(n) == 1
-
-
-def sequence_lemma_checks(n_max: int = 100_000) -> dict:
-    """Finite-prefix consistency probes of the summability lemma.
-
-    For three sample decreasing sequences, classifies each side of the
-    equivalence (summability of alpha_n) <=> (n alpha_n -> 0 and
-    sum n (alpha_n - alpha_{n+1}) summable) by decade trends, then
-    verifies the sides agree. These are consistency indicators on a
-    prefix, not proofs.
-    """
-    n = np.arange(2, n_max + 1, dtype=float)
-    samples = {
-        "inverse_square": 1.0 / (n * n),
-        "harmonic": 1.0 / n,
-        "log_damped": 1.0 / (n * np.log(n) ** 2),
-    }
-    out = {}
-    for name, alpha in samples.items():
-        ints = n.astype(np.int64)
-        summable = _partial_sums_converging(ints, alpha)
-        n_alpha = n * alpha
-        to_zero = float(n_alpha[-1]) < 0.01
-        ndiff = n[:-1] * (alpha[:-1] - alpha[1:])
-        ndiff_summable = _partial_sums_converging(ints[:-1], ndiff)
-        consistent = summable == (to_zero and ndiff_summable)
-        out[name] = Verdict(
-            PASS if consistent else FAIL,
-            float(n_alpha[-1]),
-            int(n[-1]),
-            f"summable={summable} n_alpha_to_zero={to_zero} ndiff_summable={ndiff_summable}",
-        )
-    return out
-
-
-def _partial_sums_converging(n: np.ndarray, terms: np.ndarray) -> bool:
-    """Decade increments of the partial sums shrink by at least 10%."""
-    ks = _decades(n)
-    sums = []
-    for k in range(int(ks.min()), int(ks.max()) + 1):
-        if 10 ** (k + 1) - 1 > int(n.max()):
-            break
-        sel = terms[ks == k]
-        if sel.size:
-            sums.append(float(np.sum(sel)))
-    if len(sums) < 2:
-        return False
-    return all(b < 0.9 * a for a, b in zip(sums[:-1], sums[1:]))
+# trace fields a report's "run" section copies under their own names
+RUN_FIELDS = ("algorithm", "gamma", "max_iters", "record_every", "anchored", "diverging", "truncated_at",
+              "stopped_at")
 
 
 def build_report(trace: SolverTrace, problem: CompositeProblem, reference: ReferenceInfo,
                  run_name: str = "", liminf_threshold: float = -1e6) -> dict:
     """Assemble the full JSON-ready report for one run."""
-    checks = {}
-    n = trace.n
-    kappa = kappa_bound(trace.schedule_spec)
-
-    witness_h = None
-    if reference.witness is not None:
-        witness_h = evaluate_h(problem, reference.witness)
-    bz = None
-    if reference.witness is not None and witness_h is not None and math.isfinite(witness_h):
-        bz = beta_z_from_trace(trace, reference.witness, witness_h)
-
-    key = trace.key_residual[np.isfinite(trace.key_residual)]
-    if key.size:
-        finite_idx = np.flatnonzero(np.isfinite(trace.key_residual))
-        k = finite_idx[int(np.argmin(trace.key_residual[finite_idx]))]
-        worst = float(trace.key_residual[k])
-        checks["keyineq"] = Verdict(
-            PASS if worst >= -MONOTONE_TOL else FAIL, worst, int(n[k]),
-            "min one-step key-inequality residual",
-        )
-    else:
-        checks["keyineq"] = _na("no residuals computable (start outside dom h)")
-
-    if trace.algorithm == "mfista":
-        if n.size >= 2:
-            dh = np.diff(trace.h)
-            kk = int(np.argmax(dh))
-            checks["monotone_h"] = Verdict(
-                PASS if dh[kk] <= 0.0 else FAIL, float(dh[kk]), int(n[kk + 1]),
-                "h(x_n) nonincreasing by construction",
-            )
-        else:
-            checks["monotone_h"] = Verdict(PASS, 0.0, int(n[0]) if n.size else None, "single record")
-
-    if n.size >= 2:
-        ds = np.diff(trace.sigma)
-        kk = int(np.argmax(ds))
-        checks["sigma_monotone"] = Verdict(
-            PASS if ds[kk] <= MONOTONE_TOL else FAIL, float(ds[kk]), int(n[kk + 1]),
-            "energy sigma_n nonincreasing",
-        )
-    else:
-        checks["sigma_monotone"] = Verdict(PASS, 0.0, int(n[0]) if n.size else None, "single record")
-
-    pairs = _consecutive_pairs(n) if n.size >= 2 else np.zeros(0, dtype=bool)
-    if trace.algorithm in ("fista", "ista"):
-        if np.any(pairs):
-            lhs = (1.0 - trace.alpha[:-1] ** 2) * trace.step_norm[:-1] ** 2 / (2.0 * trace.gamma)
-            resid = lhs - (trace.sigma[:-1] - trace.sigma[1:])
-            resid = np.where(pairs, resid, -math.inf)
-            kk = int(np.argmax(resid))
-            checks["descent_ledger"] = Verdict(
-                PASS if resid[kk] <= MONOTONE_TOL else FAIL, float(resid[kk]), int(n[kk]),
-                "per-step descent accounting (1-alpha^2)||dx||^2/(2 gamma) <= sigma_n - sigma_{n+1}",
-            )
-        else:
-            checks["descent_ledger"] = _na("needs consecutive records (record_every=1)")
-    else:
-        if np.any(pairs):
-            ratio = (trace.tau[:-1] / trace.tau[1:]) ** 2
-            rhs = trace.h[:-1] + ratio * (trace.sigma[:-1] - trace.h[:-1])
-            resid = np.where(pairs, trace.sigma[1:] - rhs, -math.inf)
-            kk = int(np.argmax(resid))
-            checks["mfista_one_step"] = Verdict(
-                PASS if resid[kk] <= MONOTONE_TOL else FAIL, float(resid[kk]), int(n[kk]),
-                "one-step energy contraction of the monotone variant",
-            )
-        else:
-            checks["mfista_one_step"] = _na("needs consecutive records (record_every=1)")
-
-    lyap = trace.lyapunov
-    if trace.anchored and np.all(np.isfinite(lyap)) and lyap.size >= 2:
-        # E_n is assembled from tau_n^2 * (h_n - h(z)), so its rounding
-        # noise grows like tau^2; an absolute tolerance would start
-        # failing on clean runs once tau^2 * eps outgrows it.
-        href = max(1.0, abs(trace.anchor_h)) if trace.anchor_h is not None else 1.0
-        noise = np.maximum(MONOTONE_TOL, LYAPUNOV_NOISE * trace.tau[1:] ** 2 * href)
-        dE = np.diff(lyap) - noise
-        kk = int(np.argmax(dE))
-        checks["lyapunov"] = Verdict(
-            PASS if dE[kk] <= 0.0 else FAIL, float(dE[kk]), int(n[kk + 1]),
-            "Lyapunov energy E_n nonincreasing (excess over tau^2-scaled rounding allowance)",
-        )
-        accum = 2.0 * trace.gamma * (lyap[0] - lyap)
-        kk = int(np.argmin(accum))
-        if trace.algorithm == "mfista":
-            checks["fejer"] = _na("ledger defined through the accepted iterates only")
-        else:
-            checks["fejer"] = Verdict(
-                PASS if accum[kk] >= -ACCUMULATED_TOL else FAIL, float(accum[kk]), int(n[kk]),
-                "accumulated quasi-Fejer inequality (telescoped against E_1)",
-            )
-    else:
-        reason = "no anchor point" if not trace.anchored else "energy column incomplete"
-        checks["lyapunov"] = _na(reason)
-        checks["fejer"] = _na(reason)
-
-    fd = trace.fejer_dist
-    if trace.anchored and trace.algorithm in ("fista", "ista") and np.all(np.isfinite(fd)) and fd.size:
-        mask = last_complete_decade_mask(n)
-        if not np.any(mask):
-            checks["fejer_distance"] = _na("no complete decade recorded")
-        elif float(np.max(trace.step_norm[mask])) > STEP_SETTLED_TOL:
-            # Distance convergence is asymptotic; while the tail is still
-            # moving, a finite window says nothing either way.
-            checks["fejer_distance"] = _na(
-                f"tail still moving (max step {float(np.max(trace.step_norm[mask])):.3e} "
-                "in the last complete decade)"
-            )
-        else:
-            osc = float(np.max(fd[mask]) - np.min(fd[mask]))
-            checks["fejer_distance"] = Verdict(
-                PASS if osc < OSCILLATION_TOL else FAIL, osc, int(n[mask][0]),
-                "last-decade oscillation of ||z_n - z||",
-            )
-    else:
-        checks["fejer_distance"] = _na("needs an anchored non-monotone run")
-
-    checks["rate_O_n2"] = certify_O_one_over_n2(trace, reference.min_h, reference.witness, witness_h,
-                                                reference.error_bar)
-    checks.update(certify_bounded_tau_rates(trace, reference.min_h, reference.error_bar,
-                                            problem.argmin_nonempty))
-    checks["rate_tau2_decay"] = certify_tau2_decay(trace, reference.min_h)
-    checks["divergence_xnorm"] = certify_divergence(trace, problem.argmin_nonempty)
-    checks["running_min"] = certify_liminf_inf(trace, reference, kappa, bz, liminf_threshold)
+    f = run_facts(trace, problem, reference, liminf_threshold)
+    checks = {name: v for name, check in CHECKS if (v := check(f)) is not None}
 
     gap_ref = reference.min_h if reference.min_h is not None else reference.inf_h
-    rate = None
-    if gap_ref is not None and math.isfinite(gap_ref):
-        rate = fit_rate(trace.n, trace.h - gap_ref)
+    rate = fit_rate(trace.n, trace.h - gap_ref) if gap_ref is not None and math.isfinite(gap_ref) else None
 
+    n = trace.n
     exploratory = {}
-    if trace.h.size >= 2:
-        rmin = np.minimum.accumulate(trace.h)
-        drift = float(trace.h[-1] - rmin[-1])
-        exploratory["full_limit_probe"] = Verdict(
-            EXPLORATORY, drift, int(n[-1]),
-            "gap between final h and its running minimum; small values hint h itself converges",
-        )
-    disp = trace.displacement
-    if disp is not None:
+    if n.size >= 2:
+        drift = float(trace.h[-1] - np.minimum.accumulate(trace.h)[-1])
+        exploratory["full_limit_probe"] = Verdict(EXPLORATORY, drift, int(n[-1]), "gap between final h and its "
+                                                  "running minimum; small values hint h itself converges")
+    if trace.displacement is not None:
         exploratory["displacement_probe"] = Verdict(
-            EXPLORATORY, float(np.linalg.norm(disp)), int(n[-1]) if n.size else None,
-            "final ||x_N - x_{N-1}||, the fixed-displacement probe",
-        )
+            EXPLORATORY, float(np.linalg.norm(trace.displacement)), int(n[-1]) if n.size else None,
+            "final ||x_N - x_{N-1}||, the fixed-displacement probe")
 
     return {
         "schema_version": 1,
-        "run": {
-            "name": run_name,
-            "algorithm": trace.algorithm,
-            "problem": trace.problem_name,
-            "schedule": trace.schedule_spec,
-            "gamma": trace.gamma,
-            "max_iters": trace.max_iters,
-            "record_every": trace.record_every,
-            "records": int(trace.n.size),
-            "anchored": trace.anchored,
-            "diverging": trace.diverging,
-            "truncated_at": trace.truncated_at,
-            "stopped_at": trace.stopped_at,
-        },
-        "reference": {
-            "min_h": reference.min_h,
-            "error_bar": reference.error_bar,
-            "source": reference.source,
-            "inf_h": reference.inf_h,
-        },
-        "kappa": kappa,
-        "beta_z": bz,
-        "rate_fit": None if rate is None else {
-            "p": rate.p,
-            "C": rate.C,
-            "n_lo": rate.n_lo,
-            "n_hi": rate.n_hi,
-            "points": rate.points,
-            "underflow_flagged": rate.underflow_flagged,
-            "ok": rate.ok,
-        },
+        "run": {"name": run_name, "problem": trace.problem_name, "schedule": trace.schedule_spec,
+                "records": int(n.size), **{key: getattr(trace, key) for key in RUN_FIELDS}},
+        "reference": {key: getattr(reference, key) for key in ("min_h", "error_bar", "source", "inf_h")},
+        "kappa": f.kappa,
+        "beta_z": f.beta_z,
+        "rate_fit": None if rate is None else dataclasses.asdict(rate),
         "checks": {name: v.as_dict() for name, v in checks.items()},
         "exploratory": {name: v.as_dict() for name, v in exploratory.items()},
     }
 
 
+def failed_checks(report: dict) -> list:
+    """Names of the checks that neither passed nor were not applicable, sorted."""
+    return sorted(name for name, v in report["checks"].items() if v["status"] not in (PASS, NOT_APPLICABLE))
+
+
 def report_ok(report: dict) -> bool:
     """True when every non-exploratory verdict passed or did not apply."""
-    return all(v["status"] in (PASS, NOT_APPLICABLE) for v in report["checks"].values())
-
-
-def failed_checks(report: dict) -> list:
-    return sorted(
-        name for name, v in report["checks"].items() if v["status"] not in (PASS, NOT_APPLICABLE)
-    )
+    return not failed_checks(report)
 
 
 def _jsonable(obj):
@@ -700,13 +591,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if f == math.inf:
-            return "inf"
-        if f == -math.inf:
-            return "-inf"
-        return f
+        return f if math.isfinite(f) else repr(f)  # "nan", "inf" or "-inf"
     return obj
 
 

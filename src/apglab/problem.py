@@ -254,9 +254,3 @@ def key_inequality_residual(problem: CompositeProblem, x: Vector, y: Vector) -> 
         raise OutsideDomain("reference point outside dom h")
     ty = forward_backward_step(problem, y)
     return float(descent_slack(problem.gamma, hx, evaluate_h(problem, ty), x, y, ty))
-
-
-def fixed_point_residual(problem: CompositeProblem, x: Vector) -> float:
-    """Distance ||T(x) - x||, zero exactly at minimizers of h."""
-    x = as_point(x, problem.dim)
-    return vector_norm(forward_backward_step(problem, x) - x)

@@ -12,8 +12,9 @@ bracket by construction; user-supplied lists are validated eagerly so a
 bad sequence fails at load time, not after a long run.
 
 Each family's facts (parameter gate, tau generator, kappa, sup-tau and
-Attouch-delta bounds) are one row of :data:`FAMILIES`; the functions
-below only look them up.
+Attouch-delta bounds) are one row of :data:`FAMILIES`. A caller that holds
+a canonical spec reads a bound straight from its row, for example
+``FAMILIES[spec["kind"]].kappa(spec)``, without gating the spec again.
 """
 
 import itertools
@@ -194,14 +195,19 @@ def canonical_schedule_spec(spec: dict) -> dict:
 
     The canonical form holds the kind and the family's parameters, as
     floats. Raises ParameterError for malformed or out-of-gate parameters
-    and AdmissibilityError when a custom list violates the bracket.
+    and for a key the family does not read, and AdmissibilityError when a
+    custom list violates the bracket.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParameterError(f"schedule spec must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
     if kind not in SCHEDULE_KINDS:
         raise ParameterError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
-    return {"kind": kind, **FAMILIES[kind].gate(spec)}
+    canonical = {"kind": kind, **FAMILIES[kind].gate(spec)}
+    unknown = sorted(set(spec) - set(canonical))
+    if unknown:
+        raise ParameterError(f"{kind} schedule: unknown key {unknown[0]!r}, expected one of {sorted(canonical)}")
+    return canonical
 
 
 class Schedule:
@@ -397,34 +403,3 @@ def blowsup_partial_sums(taus: np.ndarray) -> float:
     """Partial sum of 1 - tau_k^2 / tau_{k+1}^2 over the prefix."""
     return float(np.sum(blowsup_pair_terms(taus)))
 
-
-def kappa_bound(spec: dict) -> float:
-    """Analytic bound on kappa = sup_n n/tau_n (Family.kappa), +inf when unbounded."""
-    spec = canonical_schedule_spec(spec)
-    return FAMILIES[spec["kind"]].kappa(spec)
-
-
-def tau_sup_bound(spec: dict) -> float:
-    """sup_n tau_n (Family.tau_sup): finite for the bounded kinds, +inf otherwise."""
-    spec = canonical_schedule_spec(spec)
-    return FAMILIES[spec["kind"]].tau_sup(spec)
-
-
-def attouch_delta_bound(spec: dict) -> float:
-    """Analytic sup of (tau_{k+1}^2 - tau_k^2)/tau_{k+1} (Family.delta), +inf when unknown."""
-    spec = canonical_schedule_spec(spec)
-    return FAMILIES[spec["kind"]].delta(spec)
-
-
-def quotient_window(tau_sup: float) -> tuple:
-    """Asymptotic window for alpha_n when sup tau_n = tau_sup is finite.
-
-    liminf alpha_n is at least (1 - 1/t)/(1 + 1/t) - 1/(t(t+1)) and
-    limsup alpha_n is at most 1 - 1/t.
-    """
-    t = float(tau_sup)
-    if not math.isfinite(t) or t < 1.0:
-        raise ParameterError(f"quotient window needs finite tau_sup >= 1, got {tau_sup}")
-    lo = (1.0 - 1.0 / t) / (1.0 + 1.0 / t) - 1.0 / (t * (t + 1.0))
-    hi = 1.0 - 1.0 / t
-    return (lo, hi)

@@ -62,6 +62,14 @@ def classical_taus(count: int, tau1: float = 1.0) -> np.ndarray:
     return out
 
 
+def fixed_point_residual(problem, x) -> float:
+    """Distance ||T(x) - x||, zero exactly at minimizers of h."""
+    from apglab.problem import as_point, forward_backward_step, vector_norm
+
+    x = as_point(x, problem.dim)
+    return vector_norm(forward_backward_step(problem, x) - x)
+
+
 def naive_run(problem, algorithm: str, schedule_spec, options) -> dict:
     """Reference solver loop that applies T and h at every iteration.
 

@@ -10,6 +10,7 @@ configs/paper_suite.json into a temp directory.
 """
 
 import csv
+import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -191,8 +192,17 @@ def test_c12_rate_fitter_calibration(capsys):
             assert abs(fit.p - p) < 0.01
 
 
+def suite_digest(out_dir: Path) -> str:
+    """First 16 hex digits of the sha256 of `sha256sum` over every *.csv and *.report.json, sorted by name."""
+    files = sorted((p for p in out_dir.iterdir() if p.name.endswith((".csv", ".report.json"))),
+                   key=lambda p: p.name)
+    listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in files)
+    return hashlib.sha256(listing.encode()).hexdigest()[:16]
+
+
 def test_c13_byte_identical_reruns(capsys, suite, tmp_path):
-    with stamped(capsys, 13, "rerunning the suite reproduces every CSV and report byte"):
+    digest = suite_digest(suite.out_dir)
+    with stamped(capsys, 13, f"rerunning the suite reproduces every CSV and report byte (digest {digest})"):
         again = tmp_path / "again"
         assert cli.main(["run", str(SUITE_CONFIG), "--out", str(again), "--jobs", "4"]) == 0
         for run in suite_runs():

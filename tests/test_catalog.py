@@ -14,8 +14,7 @@ from apglab.catalog import (
     make_unattained_infimum,
     power_iteration,
 )
-from apglab.problem import fixed_point_residual
-from helpers import beta_oracle, prox_oracle_1d
+from helpers import beta_oracle, fixed_point_residual, prox_oracle_1d
 
 
 def test_power_iteration_matches_dense_eigensolver():
@@ -85,6 +84,20 @@ def test_lasso_is_seed_deterministic():
 def test_lasso_zero_is_not_optimal():
     p = build_problem({"name": "lasso", "dim": 10, "seed": 1})
     assert fixed_point_residual(p, np.zeros(10)) > 1e-6
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"name": "quadratic", "matrix": [[1.0]], "diag": [1.0]}, "diag"),
+    ({"name": "quadratic", "matrix": [[1.0]], "dim": 1}, "dim"),
+    ({"name": "quadratic", "dim": 2, "c": [1.0, 1.0]}, "c"),
+    ({"name": "lasso", "dim": 3, "seed": 1, "g": {"kind": "zero"}}, "g"),
+    ({"name": "affine-descent", "seed": 1}, "seed"),
+    ({"name": "quadratic", "g": {"kind": "zero", "weight": 1.0}}, "weight"),
+    ({"name": "quadratic", "g": {"kind": "box", "lo": 0.0, "hi": 1.0, "mid": 0.5}}, "mid"),
+])
+def test_builders_reject_keys_they_do_not_read(spec, key):
+    with pytest.raises(ParameterError, match=f"unknown key '{key}'"):
+        build_problem(spec)
 
 
 def test_lasso_requires_seed_and_dim():

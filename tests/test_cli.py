@@ -116,6 +116,48 @@ def test_run_malformed_spec_value_exits_3(tmp_path, capsys, problem, schedule):
     assert err.startswith("error: run 'q': ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem, schedule, key", [
+    (QUAD_SPEC, {"kind": "classical", "tau": 2.0}, "tau"),
+    (dict(LASSO_SPEC, lam_scal=0.5), None, "lam_scal"),
+    (dict(QUAD_SPEC, g={"kind": "l1", "weigth": 0.5}), None, "weigth"),
+    ({"name": "unattained", "dim": 4}, None, "dim"),
+    (dict(QUAD_SPEC, dim=3), None, "dim"),
+], ids=["classical-tau", "lasso-lam_scal", "l1-weigth", "unattained-dim", "quadratic-dim-and-diag"])
+def test_run_unknown_spec_key_exits_3(tmp_path, capsys, problem, schedule, key):
+    run = dict(QUAD_RUN, problem=problem, schedule=schedule or QUAD_RUN["schedule"], max_iters=20,
+               oracle_budget=100)
+    cfg = write_config(tmp_path / "c.json", [run])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run 'q': ") and f"unknown key {key!r}" in err and "Traceback" not in err
+
+
+def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
+    # the l1-quadratic scaled by c = 1e5 leaves the iterates as at c = 1 and
+    # multiplies every h-gap by c; the key-inequality residual at n = 72
+    # (about 3 ulps of h) then exceeds the absolute 1e-10 tolerance
+    c = 1e5
+    scaled = {"name": "l1quad", "algorithm": "fista", "schedule": {"kind": "constant", "tau": 2.0},
+              "problem": {"name": "quadratic", "diag": [c, 4 * c], "b": [3 * c, 3 * c],
+                          "g": {"kind": "l1", "weight": 0.5 * c}},
+              "max_iters": 300, "oracle_budget": 2000}
+    # three records are too few for the divergence check, which has no residual then
+    short = {"name": "short", "problem": {"name": "affine-descent"}, "algorithm": "ista", "max_iters": 3}
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", [scaled, short])
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("l1quad", "short"):
+        checks = json.loads((out / f"{name}.report.json").read_text())["checks"]
+        failed = diagnostics.failed_checks({"checks": checks})
+        shown = [f"{check}(worst={checks[check]['worst_residual']:.3g}, n={checks[check]['location_n']})"
+                 if checks[check]["worst_residual"] is not None else f"{check}(worst=none, n=none)"
+                 for check in failed]
+        assert f"run {name}: FAIL [{', '.join(shown)}]" in lines
+    assert "keyineq(worst=-1.75e-10, n=72)" in lines[0]
+    assert "divergence_xnorm(worst=none, n=none)" in lines[1]
+
+
 def test_run_duplicate_names_exit_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", [QUAD_RUN, dict(QUAD_RUN)])
     assert cli.main(["run", str(cfg)]) == 2

@@ -13,7 +13,8 @@ from apglab import (
     key_inequality_residual,
 )
 from apglab.catalog import make_affine_descent, make_indicator_box, make_l1, make_zero
-from apglab.problem import NonsmoothTerm, SmoothTerm, as_point, fixed_point_residual, rowdot, vector_norm
+from apglab.problem import NonsmoothTerm, SmoothTerm, as_point, rowdot, vector_norm
+from helpers import fixed_point_residual
 
 
 def quad1d(beta=1.0):

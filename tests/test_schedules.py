@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apglab import AdmissibilityError, ParameterError
+from apglab import schedules
 from apglab.schedules import (
     MAX_STEP_INCREASE,
     Schedule,
@@ -17,10 +18,7 @@ from apglab.schedules import (
     check_admissibility,
     classical_lower_bound_check,
     folklore_expansion_check,
-    kappa_bound,
     prefix,
-    quotient_window,
-    tau_sup_bound,
 )
 from helpers import classical_taus
 
@@ -131,6 +129,22 @@ def test_custom_accepts_an_admissible_list_verbatim():
         prefix({"kind": "custom", "values": values}, 5)
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "constant", "tau1": 1.0}, "tau1"),
+    ({"kind": "classical", "tau": 2.0}, "tau"),
+    ({"kind": "chambolle_dossal", "rho": 3.0, "a": 1.0}, "a"),
+    ({"kind": "aujol_dossal", "a": 5.0, "d": 0.5, "rho": 2.0}, "rho"),
+    ({"kind": "attouch_shifted", "rho": 2.0, "tau1": 1.0}, "tau1"),
+    ({"kind": "custom", "values": [1.0, 1.5], "tau": 1.0}, "tau"),
+])
+def test_every_family_rejects_keys_it_does_not_read(spec, key):
+    with pytest.raises(ParameterError, match=f"unknown key '{key}'"):
+        canonical_schedule_spec(spec)
+    # the canonical form holds only keys its family reads, so it passes again unchanged
+    canonical = canonical_schedule_spec({k: v for k, v in spec.items() if k != key})
+    assert canonical_schedule_spec(canonical) == canonical
+
+
 def test_parameter_gates():
     with pytest.raises(ParameterError):
         canonical_schedule_spec({"kind": "constant", "tau": 0.5})
@@ -151,6 +165,16 @@ def test_parameter_gates():
     # d = 0 with positive a degenerates to the constant-1 schedule
     taus = prefix({"kind": "aujol_dossal", "a": 0.5, "d": 0.0}, 10)
     assert np.all(taus == 1.0)
+
+
+def kappa_bound(spec: dict) -> float:
+    spec = canonical_schedule_spec(spec)
+    return schedules.FAMILIES[spec["kind"]].kappa(spec)
+
+
+def tau_sup_bound(spec: dict) -> float:
+    spec = canonical_schedule_spec(spec)
+    return schedules.FAMILIES[spec["kind"]].tau_sup(spec)
 
 
 def test_analytic_bounds_per_family():
@@ -175,6 +199,20 @@ def test_kappa_bounds_dominate_prefix_measurements():
         taus = prefix(spec, 50_000)
         measured = float(np.max(np.arange(1, 50_001, dtype=float) / taus))
         assert measured <= kb + 1e-12
+
+
+def quotient_window(tau_sup: float) -> tuple:
+    """Asymptotic window for alpha_n when sup tau_n = tau_sup is finite.
+
+    liminf alpha_n is at least (1 - 1/t)/(1 + 1/t) - 1/(t(t+1)) and
+    limsup alpha_n is at most 1 - 1/t.
+    """
+    t = float(tau_sup)
+    if not math.isfinite(t) or t < 1.0:
+        raise ParameterError(f"quotient window needs finite tau_sup >= 1, got {tau_sup}")
+    lo = (1.0 - 1.0 / t) / (1.0 + 1.0 / t) - 1.0 / (t * (t + 1.0))
+    hi = 1.0 - 1.0 / t
+    return (lo, hi)
 
 
 def test_quotient_window_for_constant_schedules():
