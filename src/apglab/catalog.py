@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .problem import CompositeProblem, NonsmoothTerm, SmoothTerm, matvec, rowdot
+from .problem import CompositeProblem, NonsmoothTerm, QuadraticForm, SmoothTerm, matvec, rowdot
 
 PROBLEM_NAMES = ("quadratic", "lasso", "affine-descent", "unattained")
 NONSMOOTH_NAMES = ("zero", "l1", "box")
@@ -57,7 +57,8 @@ def power_iteration(matrix: np.ndarray, rel_tol: float = 1e-12, max_iters: int =
     return abs(lam)
 
 
-def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, beta: float, name: str) -> SmoothTerm:
+def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, beta: float, name: str,
+                    rho: Optional[float] = None) -> SmoothTerm:
     q = q.copy()
     q.flags.writeable = False
     c = c.copy()
@@ -73,7 +74,8 @@ def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, beta: float, 
             return q @ x - c
         return matvec(q, x) - c
 
-    return SmoothTerm(value=value, gradient=gradient, beta=beta, name=name)
+    return SmoothTerm(value=value, gradient=gradient, beta=beta, name=name,
+                      quadratic=QuadraticForm(q, c, constant, rho))
 
 
 def make_quadratic(a, b) -> SmoothTerm:
@@ -98,7 +100,11 @@ def make_quadratic(a, b) -> SmoothTerm:
 
 
 def make_least_squares(design, targets) -> SmoothTerm:
-    """f(x) = ||Ax - y||^2 / 2, precomputed through its normal matrix."""
+    """f(x) = ||Ax - y||^2 / 2, precomputed through its normal matrix.
+
+    c^T Q^+ c = ||P y||^2 for P the projection onto the range of A, so
+    ||y||^2 bounds it: the quadratic form's rho.
+    """
     a = np.asarray(design, dtype=float)
     y = np.asarray(targets, dtype=float)
     if a.ndim != 2 or y.shape != (a.shape[0],):
@@ -109,7 +115,7 @@ def make_least_squares(design, targets) -> SmoothTerm:
     beta = power_iteration(q)
     if beta <= 0.0:
         raise ParameterError("least squares: design has rank 0")
-    return _quadratic_form(q, c, constant, beta, "least-squares")
+    return _quadratic_form(q, c, constant, beta, "least-squares", rho=2.0 * constant)
 
 
 def make_affine_descent() -> SmoothTerm:
@@ -161,8 +167,9 @@ def make_unattained_infimum() -> SmoothTerm:
 
 
 def make_zero() -> NonsmoothTerm:
-    """g = 0; the proximal map is the identity."""
-    return NonsmoothTerm(value=lambda x: 0.0, prox=lambda v, gamma: v.copy(), name="zero")
+    """g = 0; the proximal map is the identity. Its params are those of the l1 term of weight 0."""
+    return NonsmoothTerm(value=lambda x: 0.0, prox=lambda v, gamma: v.copy(), name="zero",
+                         params={"weight": 0.0})
 
 
 def make_l1(weight: float = 1.0) -> NonsmoothTerm:
@@ -180,7 +187,7 @@ def make_l1(weight: float = 1.0) -> NonsmoothTerm:
         thr = gamma * weight
         return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
-    return NonsmoothTerm(value=value, prox=prox, name="l1")
+    return NonsmoothTerm(value=value, prox=prox, name="l1", params={"weight": weight})
 
 
 def make_indicator_box(lower, upper) -> NonsmoothTerm:
@@ -206,7 +213,7 @@ def make_indicator_box(lower, upper) -> NonsmoothTerm:
     def prox(v, gamma):
         return np.clip(v, lo, hi)
 
-    return NonsmoothTerm(value=value, prox=prox, name="box")
+    return NonsmoothTerm(value=value, prox=prox, name="box", params={"lo": lo, "hi": hi})
 
 
 _SHAPES = {(0,): "a number", (1,): "a list of numbers", (2,): "a list of rows", (0, 1): "a number or a list"}
@@ -272,6 +279,24 @@ def _resolve_gamma(spec: dict, beta: float) -> float:
     return _number(spec, "gamma")
 
 
+def _separable_argmin(diag: np.ndarray, b: np.ndarray, g: NonsmoothTerm) -> np.ndarray:
+    """Minimizer of sum_i (diag_i x_i^2 / 2 - b_i x_i) + g(x) for diag >= 0 and g l1 or box.
+
+    Coordinate by coordinate: soft(b, weight) / diag for l1, clip(b / diag,
+    lo, hi) for a box. Where diag_i = 0 the term is linear: the coordinate
+    goes to the bound its slope points at (b_i > 0: hi, b_i < 0: lo) or, for
+    l1, stays at 0 when |b_i| <= weight; with a zero slope it takes the
+    point of the box nearest 0. An infinite entry means h is unbounded
+    below along that coordinate.
+    """
+    def ratio(num):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(diag > 0.0, num / diag, np.where(num == 0.0, 0.0, np.copysign(math.inf, num)))
+
+    # both proxes at step 1: the soft threshold at weight, and the clamp
+    return ratio(g.prox(b, 1.0)) if g.name == "l1" else g.prox(ratio(b), 1.0)
+
+
 def _quadratic_problem(spec: dict) -> CompositeProblem:
     # the matrix, else its diagonal, else dim (default 1) sets the dimension
     shape_key = next((key for key in ("matrix", "diag") if key in spec), "dim")
@@ -295,7 +320,15 @@ def _quadratic_problem(spec: dict) -> CompositeProblem:
     witness = None
     nonempty = None
     inf_h = None
-    if g.name == "zero":
+    if shape_key == "diag" and g.name in ("l1", "box") and np.all(np.diag(a) >= 0.0):
+        witness = _separable_argmin(np.diag(a), b, g)
+        nonempty = bool(np.all(np.isfinite(witness)))
+        if nonempty:
+            known_min = float(smooth.value(witness)) + float(g.value(witness))
+        else:
+            witness = None
+            inf_h = -math.inf
+    elif g.name == "zero":
         sol, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
         feasible = float(np.max(np.abs(a @ sol - b))) <= 1e-9 * max(1.0, float(np.max(np.abs(b))))
         if feasible:

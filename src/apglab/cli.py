@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass (or not applicable), 1 some check failed
 or was inconclusive, 2 config/file problems, 3 invalid schedule or
-problem parameters, 4 unreliable reference oracle.
+problem parameters, 4 no certified reference minimum within oracle_budget.
 """
 
 import argparse
@@ -172,14 +172,16 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
 
-    # every run is checked before any is solved; runs that share a problem build it once
+    # every run is checked before any is solved; runs that share a problem
+    # build it once, and each run's schedule is gated here only: the workers
+    # take its canonical spec
     problems = {}
     for run in cfg.runs:
         try:
             key = _problem_key(run)
             if key not in problems:
                 problems[key] = build_problem(run.problem)
-            check_run(problems[key], run.algorithm, run.schedule, _solver_options(run))
+            run.schedule = check_run(problems[key], run.algorithm, run.schedule, _solver_options(run)).spec
         except (ParameterError, AdmissibilityError) as exc:
             return _fail(f"run {run.name!r}: {exc}", EXIT_PARAMS)
 

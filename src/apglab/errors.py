@@ -38,14 +38,18 @@ class OutsideDomain(ApgError):
 
 
 class OracleUnreliable(ApgError):
-    """The two legs of the reference-minimum solve disagree too much."""
+    """The reference-minimum solve found no certified interval for min h.
 
-    def __init__(self, message: str, disagreement: float):
+    ``gap`` is the width of the best interval it had (inf when it had
+    none).
+    """
+
+    def __init__(self, message: str, gap: float):
         super().__init__(message)
-        self.disagreement = disagreement
+        self.gap = gap
 
     def __reduce__(self):  # pool workers send errors back pickled
-        return type(self), (str(self), self.disagreement)
+        return type(self), (str(self), self.gap)
 
 
 class OracleNotApplicable(ApgError):

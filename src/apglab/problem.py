@@ -33,13 +33,31 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
+class QuadraticForm:
+    """The data of f(x) = x^T q x / 2 - c^T x + constant, for certificates that read it.
+
+    rho is a known upper bound on c^T q^+ c (least squares: ||y||^2 =
+    2 constant), or None when nothing cheaper than a solve gives one.
+    """
+
+    q: np.ndarray
+    c: np.ndarray
+    constant: float
+    rho: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class SmoothTerm:
-    """Differentiable convex term with a declared gradient-Lipschitz constant."""
+    """Differentiable convex term with a declared gradient-Lipschitz constant.
+
+    quadratic holds the term's data when it is a quadratic form.
+    """
 
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
     beta: float
     name: str = "smooth"
+    quadratic: Optional[QuadraticForm] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0.0):
@@ -55,12 +73,15 @@ class NonsmoothTerm:
     ``value`` may return +inf outside the domain. ``prox`` receives the
     point and the step size and must return the exact minimizer of
     g(u) + ||u - v||^2 / (2 gamma); built-in terms satisfy this in closed
-    form.
+    form. params holds the parameters of a built-in term by name (l1:
+    ``weight``, and zero as the l1 term of weight 0; box: ``lo`` and
+    ``hi``), for certificates that read them.
     """
 
     value: Callable[[Vector], float]
     prox: Callable[[Vector, float], Vector]
     name: str = "nonsmooth"
+    params: Optional[dict] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

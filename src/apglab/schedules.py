@@ -190,14 +190,26 @@ FAMILIES = {
 SCHEDULE_KINDS = tuple(FAMILIES)
 
 
+class CanonicalSpec(dict):
+    """A schedule spec in canonical form, returned by :func:`canonical_schedule_spec`.
+
+    Its family's gate has passed it, so canonical_schedule_spec returns it
+    as it is: ``apg run`` gates each run's schedule once, in the parent, and
+    its workers take the canonical spec (a custom list's admissibility pass
+    costs about 0.13 s per 100k values). Treat it as read-only.
+    """
+
+
 def canonical_schedule_spec(spec: dict) -> dict:
-    """Validate a schedule spec and return it in canonical form.
+    """Validate a schedule spec and return it in canonical form, a CanonicalSpec.
 
     The canonical form holds the kind and the family's parameters, as
     floats. Raises ParameterError for malformed or out-of-gate parameters
     and for a key the family does not read, and AdmissibilityError when a
-    custom list violates the bracket.
+    custom list violates the bracket. A CanonicalSpec comes back as it is.
     """
+    if isinstance(spec, CanonicalSpec):
+        return spec
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParameterError(f"schedule spec must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
@@ -207,7 +219,7 @@ def canonical_schedule_spec(spec: dict) -> dict:
     unknown = sorted(set(spec) - set(canonical))
     if unknown:
         raise ParameterError(f"{kind} schedule: unknown key {unknown[0]!r}, expected one of {sorted(canonical)}")
-    return canonical
+    return CanonicalSpec(canonical)
 
 
 class Schedule:

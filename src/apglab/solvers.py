@@ -36,12 +36,7 @@ Traces, CSVs and reports are therefore bit-identical to iterating to the
 end, assuming only that T and h are deterministic.
 ``SolverTrace.absorbed_at`` names the first skipped iteration.
 
-Momentum runs (varying tau) and runs with ``SolverOptions.fast_forward``
-off, which the reference oracle sets, iterate to the end. Whether an
-instance reaches an exact fixed point is luck of the float draw, so a skip
-there would make the cost of the same workload swing several-fold from
-one seed-drawn instance to the next (see
-:func:`apglab.diagnostics.reference_min`).
+Momentum runs (varying tau) iterate to the end.
 
 Lockstep batches. The iteration of a run is one generator, ``_steps``: it
 yields y_n and receives T y_n and h(T y_n), and does everything else
@@ -111,13 +106,10 @@ class SolverOptions:
     anchor is a point of dom h used for Lyapunov/Fejer ledgers (normally a
     known or oracle minimizer); anchor_h is its objective value, computed
     on demand when omitted. Stops are off by default because several
-    checked properties concern non-convergent runs. fast_forward lets a
-    constant-schedule run skip its iterations after it is absorbed at an
-    exact fixed point (module docstring); the trace is the same either way.
-    record_every thins the trace (the first and last iterations and a stop
-    are always kept); the diagnostic columns are computed only for recorded
-    rows, a block of rows at a time, so a sparse cadence also makes a long
-    run cheaper.
+    checked properties concern non-convergent runs. record_every thins the
+    trace (the first and last iterations and a stop are always kept); the
+    diagnostic columns are computed only for recorded rows, a block of rows
+    at a time, so a sparse cadence also makes a long run cheaper.
     """
 
     max_iters: int
@@ -128,7 +120,6 @@ class SolverOptions:
     stop_step_norm: Optional[float] = None
     stop_h_gap: Optional[float] = None
     divergence_threshold: float = 1e150
-    fast_forward: bool = True
 
 
 @dataclass
@@ -242,7 +233,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     sched = check_run(problem, algorithm, schedule, options)
     gamma = problem.gamma
     monotone = algorithm == "mfista"
-    fast_forward = options.fast_forward and sched.kind == "constant"
+    fast_forward = sched.kind == "constant"
     x0 = (
         np.zeros(problem.dim)
         if options.x0 is None

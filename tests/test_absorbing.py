@@ -25,6 +25,7 @@ import pytest
 from apglab import (
     CompositeProblem,
     NonsmoothTerm,
+    OracleUnreliable,
     ParameterError,
     SmoothTerm,
     SolverOptions,
@@ -34,6 +35,7 @@ from apglab import (
     run_algorithm,
 )
 from apglab import solvers
+from apglab.diagnostics import ORACLE_CHUNK, duality_bound, quadratic_rho
 
 from helpers import naive_run
 
@@ -118,10 +120,13 @@ def test_suite_ista_run_skips_most_operator_calls(monkeypatch):
 
 def test_run_from_exact_fixed_point_absorbs_at_once():
     # the first iteration may turn -0.0 entries of y into +0.0 (y = x + 0 * step),
-    # so the lasso minimizer, which has signed zeros, needs one more
+    # so the lasso minimizer, which has signed zeros, needs one more; an
+    # absorbed ista run ends on an exact fixed point of T
     lasso = build_problem({"name": "lasso", "dim": 10, "seed": 1})
     quad = build_problem(PROBLEMS["quad2"][0])
-    starts = ((lasso, reference_min(lasso).argmin, 3), (quad, quad.known_argmin, 2))
+    fixed = ista_run(lasso, SolverOptions(max_iters=9_000))
+    assert fixed.absorbed_at is not None
+    starts = ((lasso, fixed.final_x, 3), (quad, quad.known_argmin, 2))
     for problem, x_star, absorbed_at in starts:
         for case in sorted(ABSORBING):
             algorithm, schedule = CASES[case]
@@ -130,12 +135,11 @@ def test_run_from_exact_fixed_point_absorbs_at_once():
             assert np.all(trace.step_norm == 0.0)
 
 
-def test_oracle_runs_its_whole_budget(monkeypatch):
-    # stage 1 reaches an exact fixed point well inside the budget, yet both
-    # stages keep applying T, so the solve costs the same on every instance
+def test_oracle_stops_on_its_certificate_and_never_past_its_budget(monkeypatch):
+    # T is applied exactly as often as the oracle reports, a whole number of
+    # chunks well inside the budget; a budget too small to certify in is spent
+    # to the last iteration and no further
     problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
-    budget = 9_000
-    assert ista_run(problem, SolverOptions(max_iters=budget)).absorbed_at is not None
     calls = []
 
     def counting_step(problem, y):
@@ -144,8 +148,13 @@ def test_oracle_runs_its_whole_budget(monkeypatch):
 
     fbs = solvers.forward_backward_step
     monkeypatch.setattr(solvers, "forward_backward_step", counting_step)
-    reference_min(problem, budget=budget)
-    assert len(calls) == 2 * budget
+    oracle = reference_min(problem, budget=9_000)
+    assert len(calls) == oracle.iterations < 9_000
+    assert oracle.iterations % ORACLE_CHUNK == 0
+    calls.clear()
+    with pytest.raises(OracleUnreliable, match="no certificate within oracle_budget = 700"):
+        reference_min(problem, budget=700)
+    assert len(calls) == 700
 
 
 def test_step_norm_stop_fires_at_first_zero_step_before_absorption():
@@ -273,18 +282,34 @@ def test_divergence_between_recorded_rows_matches_naive(algorithm):
     assert_matches_naive(trace, naive_run(problem, algorithm, CLASSICAL, options))
 
 
-@pytest.mark.parametrize("problem_name, budget", [("lasso-d10-s1", 9_000), ("boxquad", 200)])
-def test_reference_min_matches_two_stage_naive_loop(problem_name, budget):
+def naive_reference_min(problem, budget: int):
+    """Restarted FISTA with the duality stop, over naive_run: (min_h, witness, iterations)."""
+    rho = quadratic_rho(problem)
+    x, lower, upper, lower_allow, upper_allow, used = np.zeros(problem.dim), -math.inf, math.inf, 0.0, 0.0, 0
+    while used < budget:
+        chunk = min(ORACLE_CHUNK, budget - used)
+        run = naive_run(problem, "fista", CLASSICAL, SolverOptions(max_iters=chunk, record_every=chunk, x0=x))
+        used += chunk
+        x, h_x = run["final_x"], run["h"][-1]
+        bound, allowance = duality_bound(problem, x, rho)
+        moved = bound > lower or h_x < upper
+        if bound > lower:
+            lower, lower_allow = bound, allowance
+        if h_x < upper:
+            upper, upper_allow, witness = h_x, allowance, x
+        if not moved and upper - lower <= max(1e-12 * max(1.0, abs(upper)), lower_allow, upper_allow):
+            return upper, witness, used
+    raise AssertionError("no certificate")
+
+
+@pytest.mark.parametrize("problem_name, budget", [("lasso-d10-s1", 9_000), ("boxquad", 2_000)])
+def test_reference_min_matches_restarted_naive_loop(problem_name, budget):
     problem = build_problem(PROBLEMS[problem_name][0])
     oracle = reference_min(problem, budget=budget)
-    stage1 = naive_run(problem, "ista", None, SolverOptions(max_iters=budget, record_every=budget))
-    stage2 = naive_run(problem, "mfista", CLASSICAL,
-                       SolverOptions(max_iters=budget, record_every=budget, x0=stage1["final_x"]))
-    h_ista, h_mf = stage1["h"][-1], stage2["h"][-1]
-    best, witness = (h_ista, stage1["final_x"]) if h_ista <= h_mf else (h_mf, stage2["final_x"])
-    for got, want in ((oracle.min_h, best), (oracle.ista_value, h_ista), (oracle.mfista_value, h_mf)):
-        assert _bits(np.float64(got)) == _bits(np.float64(want))
+    min_h, witness, iterations = naive_reference_min(problem, budget)
+    assert _bits(np.float64(oracle.min_h)) == _bits(np.float64(min_h))
     assert oracle.argmin.tobytes() == witness.tobytes()
+    assert oracle.iterations == iterations
 
 
 B = solvers._BLOCK

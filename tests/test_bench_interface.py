@@ -78,7 +78,10 @@ def test_traced_run_reports_every_layer_and_passes_the_output_checks(tmp_path):
     assert absent == []
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert declared - set(metrics) == ADDED_BY_RUN
-    assert metrics["solvers.loop.oracle.iters"][0] == 2 * 3000
+    # the oracle stops on its certificate; its iterations are in each report, not in the tracer
+    for run in RUNS:
+        reference = json.loads((out / f"{run['name']}.report.json").read_text())["reference"]
+        assert 1 <= reference["iterations"] <= 3000
     # plotdata reads back every row that run wrote
     assert metrics["solvers.read_trace_csv.rows"][0] == metrics["solvers.write_trace_csv.rows"][0] > 0
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apglab import cli, diagnostics
+from apglab import SolverOptions, build_problem, cli, diagnostics, run_batch, schedules
 from apglab.solvers import CSV_HEADER
 
 
@@ -261,13 +262,56 @@ def test_run_builds_each_distinct_problem_once_per_stage(tmp_path, monkeypatch):
 
 
 def test_parallel_unreliable_oracle_exits_4(tmp_path, capsys):
-    # a one-iteration oracle's stages disagree; the error reaches the parent
+    # a one-iteration oracle certifies nothing; the error reaches the parent
     # through the process pool
     runs = [dict(LASSO_RUN, name=f"u{i}", problem={"name": "lasso", "dim": 6, "seed": 20 + i},
                  oracle_budget=1) for i in range(2)]
     cfg = write_config(tmp_path / "c.json", runs)
     assert cli.main(["run", str(cfg), "--jobs", "2", "--out", str(tmp_path / "out")]) == 4
-    assert "reference stages disagree" in capsys.readouterr().err
+    assert "no certificate within oracle_budget = 1" in capsys.readouterr().err
+
+
+def test_serial_unreliable_oracle_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", [dict(LASSO_RUN, name="u", oracle_budget=1)])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: lasso-d6-s9: no certificate within oracle_budget = 1 ")
+    assert "Traceback" not in err
+
+
+def _count_custom_gates(monkeypatch, log: Path):
+    """Wrap the custom family's gate so that every call, in any process, appends a line to log."""
+    family = schedules.FAMILIES["custom"]
+
+    def gate(spec):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return family.gate(spec)
+
+    monkeypatch.setitem(schedules.FAMILIES, "custom", dataclasses.replace(family, gate=gate))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_gates_a_custom_schedule_once(tmp_path, monkeypatch, jobs):
+    log = tmp_path / "gates.txt"
+    _count_custom_gates(monkeypatch, log)
+    # tau = 1 throughout: the plain iteration, whose bounded-schedule checks pass at this length
+    values = [1.0] * 2001
+    cfg = write_config(tmp_path / "c.json", [dict(QUAD_RUN, schedule={"kind": "custom", "values": values},
+                                                  max_iters=2000)])
+    assert cli.main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / "out")]) == 0
+    assert len(log.read_text().splitlines()) == 1
+    # a direct run_batch call still gates its spec
+    problem = build_problem(QUAD_RUN["problem"])
+    list(run_batch(problem, [("fista", {"kind": "custom", "values": values}, SolverOptions(max_iters=20))]))
+    assert len(log.read_text().splitlines()) == 2
+
+
+def test_schedule_command_gates_a_custom_list_once(tmp_path, monkeypatch, capsys):
+    log = tmp_path / "gates.txt"
+    _count_custom_gates(monkeypatch, log)
+    assert cli.main(["schedule", "custom", "--n", "3", "--values", "1,1.5,2,2.5"]) == 0
+    assert len(log.read_text().splitlines()) == 1
 
 
 def test_apg_seed_overrides_config_seed(tmp_path, monkeypatch):

@@ -74,6 +74,18 @@ def test_fit_rate_ignores_dead_zeros():
     assert fit.p == pytest.approx(2.0, abs=0.01)
 
 
+def test_fit_rate_ignores_gaps_within_the_error_bar():
+    # a run that settles a few ulps above a certified minimum, as on an
+    # ulp plateau, ends the fitted window like a gap of exactly zero
+    n = np.arange(1, 10_001, dtype=np.int64)
+    gaps = 2.0 * n.astype(float) ** (-2.0)
+    gaps[7000:] = 8.9e-16
+    assert fit_rate(n, gaps).n_hi == 10_000
+    fit = fit_rate(n, gaps, floor=3.6e-14)
+    assert fit.ok and fit.underflow_flagged and fit.n_hi == 7000
+    assert fit.p == pytest.approx(2.0, abs=0.01)
+
+
 def _divergence(trace, problem):
     return build_report(trace, problem, resolve_reference(problem))["checks"]["divergence_xnorm"]
 
@@ -100,7 +112,11 @@ def test_certify_divergence_demands_a_decisive_factor():
 def test_reference_oracle_on_lasso_is_tight():
     p = build_problem({"name": "lasso", "dim": 6, "seed": 9})
     oracle = reference_min(p, budget=20_000)
-    assert oracle.error_bar < 1e-10
+    # certified: a closed interval whose width and rounding allowance make the error bar
+    assert oracle.min_h == oracle.upper and oracle.certificate == "rescaled dual gap"
+    assert oracle.error_bar == max(oracle.upper - oracle.lower, 0.0) + oracle.allowance
+    assert 0.0 < oracle.allowance <= oracle.error_bar <= 1e-12 * max(1.0, abs(oracle.min_h))
+    assert 0 < oracle.iterations < 20_000
     trace = fista_run(p, {"kind": "classical"}, SolverOptions(max_iters=2000))
     assert oracle.min_h <= float(np.min(trace.h)) + 1e-12
 
@@ -115,6 +131,7 @@ def test_resolve_reference_sources_and_cache():
     info = resolve_reference(quad)
     assert info.source == "catalog"
     assert info.error_bar == 0.0
+    assert info.lower == info.upper == info.min_h and info.certificate == "closed form" and info.iterations == 0
 
     affine = build_problem({"name": "affine-descent"})
     info = resolve_reference(affine)
@@ -122,7 +139,9 @@ def test_resolve_reference_sources_and_cache():
     assert info.inf_h == -math.inf
 
     lasso = build_problem({"name": "lasso", "dim": 6, "seed": 9})
-    assert resolve_reference(lasso, budget=5000).source == "oracle"
+    info = resolve_reference(lasso, budget=5000)
+    assert info.source == "oracle" and info.certificate == "rescaled dual gap"
+    assert info.lower <= info.upper == info.min_h and 0 < info.iterations <= 5000
 
 
 def test_beta_z_matches_first_lyapunov_record():
@@ -197,7 +216,9 @@ def test_build_report_shape_and_json():
     trace = fista_run(p, {"kind": "classical"},
                       SolverOptions(max_iters=300, anchor=p.known_argmin))
     report = build_report(trace, p, resolve_reference(p), run_name="unit")
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert set(report["reference"]) == {"min_h", "error_bar", "source", "inf_h", "lower", "upper", "iterations",
+                                        "certificate"}
     assert report["run"]["name"] == "unit"
     assert report["kappa"] == 2.0
     for verdict in report["checks"].values():

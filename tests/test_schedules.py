@@ -142,7 +142,7 @@ def test_every_family_rejects_keys_it_does_not_read(spec, key):
         canonical_schedule_spec(spec)
     # the canonical form holds only keys its family reads, so it passes again unchanged
     canonical = canonical_schedule_spec({k: v for k, v in spec.items() if k != key})
-    assert canonical_schedule_spec(canonical) == canonical
+    assert canonical_schedule_spec(dict(canonical)) == canonical
 
 
 def test_parameter_gates():
