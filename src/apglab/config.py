@@ -63,15 +63,25 @@ def _require_int(run_name: str, key: str, value, minimum: int) -> int:
     return value
 
 
+def _finite(run_name: str, key: str, value) -> float:
+    """A JSON int or float that is finite as a float; a bool, a string or null is not a number."""
+    v = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"run {run_name!r}: {key} must be a finite number, got {value!r}")
+    return v
+
+
 def _optional_positive(run_name: str, key: str, value) -> Optional[float]:
     if value is None:
         return None
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"run {run_name!r}: {key} must be a number, got {value!r}") from None
-    if not (math.isfinite(v) and v > 0.0):
-        raise ConfigError(f"run {run_name!r}: {key} must be finite and positive, got {value!r}")
+    v = _finite(run_name, key, value)
+    if not v > 0.0:
+        raise ConfigError(f"run {run_name!r}: {key} must be positive, got {value!r}")
     return v
 
 
@@ -98,11 +108,7 @@ def _parse_run(raw, position: int) -> RunSpec:
     anchor = raw.get("anchor", "auto")
     if anchor not in ("auto", "none"):
         raise ConfigError(f"run {name!r}: anchor must be 'auto' or 'none', got {anchor!r}")
-    threshold = raw.get("liminf_threshold", -1e6)
-    try:
-        threshold = float(threshold)
-    except (TypeError, ValueError):
-        raise ConfigError(f"run {name!r}: liminf_threshold must be a number") from None
+    threshold = _finite(name, "liminf_threshold", raw.get("liminf_threshold", -1e6))
     divergence = _optional_positive(name, "divergence_threshold", raw.get("divergence_threshold"))
     return RunSpec(
         name=name,

@@ -9,34 +9,65 @@ no-minimizer regimes still produce usable partial traces.
 
 Recorded rows only, a block at a time. The diagnostic columns (sigma,
 the step norm, the key residual and the anchored ledger) are computed only
-for iterations that write a row, and for the iteration whose row an
-absorbed run copies forward. Every iteration computes what the iteration
-itself needs: T y, h(T y), MFISTA's accept/reject, the iterate norm for the
-divergence test, the step norm where a stop test or the absorption gate
-reads it, the next tau and alpha, y_{n+1} and the stop tests. A sparser
-``record_every`` therefore also makes a long run cheaper. A row to compute
-is queued (its scalars and references to x_{n-1}, y_n, T y_n and x_n), and
-every ``_BLOCK`` rows, and when the loop ends, one call computes the
-columns of the whole block from (m, d) stacks. Its dot products go through
-:func:`apglab.problem.rowdot`, one BLAS ``ddot`` per row, the routine a
-1-D ``a @ b`` uses, so no row's value depends on the rows stacked with it
-(a matrix product over the stack would round differently), and every other
-operation is elementwise. The recorded rows are therefore bit-identical to
-those of a loop that computes every column at every iteration, one row at
-a time.
+for iterations that write a row. Every iteration computes what the
+iteration itself needs: T y, h(T y), MFISTA's accept/reject, the iterate
+norm for the divergence test, the step norm where a stop test reads it,
+the next tau and alpha, y_{n+1}, the stop tests and the absorption test.
+A sparser ``record_every`` therefore also makes a long run cheaper. A row
+to compute is queued (its scalars and references to x_{n-1}, y_n, T y_n
+and x_n), and every ``_BLOCK`` rows, and when the loop ends, one call
+computes the columns of the whole block from (m, d) stacks. Its dot
+products go through :func:`apglab.problem.rowdot`, one BLAS ``ddot`` per
+row, the routine a 1-D ``a @ b`` uses, so no row's value depends on the
+rows stacked with it (a matrix product over the stack would round
+differently), and every other operation is elementwise. The recorded rows
+are therefore bit-identical to those of a loop that computes every column
+at every iteration, one row at a time.
 
-Absorbing states. With a constant schedule (ISTA, or FISTA/MFISTA at a
-fixed tau) every iteration applies the same update to the state
-(x_{n-1}, y_n), and float iterates often reach an exact fixed point of it
-long before max_iters: an iteration leaves x and y bit for bit where it
-found them. Every later iteration then repeats that one, recorded row
-included, so the loop stops calling T and h, still draws each remaining
-tau from the schedule, and copies the row to the remaining record rows.
-Traces, CSVs and reports are therefore bit-identical to iterating to the
-end, assuming only that T and h are deterministic.
-``SolverTrace.absorbed_at`` names the first skipped iteration.
+Absorbing states. Float iterates often reach an exact fixed point long
+before max_iters: iteration n leaves x_n = x_{n-1}, h(x_n) = h(x_{n-1})
+and y_{n+1} = y_n, bit for bit. Iteration n + 1 then gets T y_n and
+h(T y_n) again (T and h are deterministic), MFISTA accepts or rejects as
+before, and x, h and every cell of the row that does not read tau repeat.
+Tau enters only the update of y:
 
-Momentum runs (varying tau) iterate to the end.
+    FISTA   y_{m+1} = x + alpha_m (x - x)
+    MFISTA  y_{m+1} = x + (tau_m / tau_{m+1}) (T y - x) + alpha_m (x - x)
+
+x - x is +0.0 in every entry (x is finite), and c * (+0.0) is +0.0 for
+c >= 0 and -0.0 for c < 0, so alpha_m acts only through its sign: adding
+-0.0 keeps a -0.0 entry of x that +0.0 would turn into +0.0. MFISTA's
+ratio, always positive, acts the same way when T y = x bit for bit;
+otherwise it multiplies a nonzero vector, and only tau_{m+1} = tau_m
+makes it repeat. Hence one rule for every schedule: a run absorbs at n
+when x, h and y repeat as above and, for MFISTA, T y_n = x_n or
+tau_{n+1} = tau_n. Constant schedules (ISTA included) meet the second
+condition at every n, so for them the rule is the byte test of x and y
+alone; a momentum MFISTA run whose candidates are rejected does not
+absorb, since y = x + (tau_n/tau_{n+1})(T y - x) moves with tau even where
+it rounds to the same bits for a while.
+
+From then on the loop calls neither T nor h, and the run leaves its
+lockstep batch. It still draws every remaining tau, and checks it: y keeps
+its bits while alpha keeps the sign of alpha_n and, where MFISTA's ratio
+multiplies T y - x != 0, tau stands still. The built-in families keep
+tau >= 1, so alpha >= 0 (rounding gives tau_1 = 1 - 2**-53 for
+chambolle_dossal and attouch_shifted at rho = 2**53); a custom list may dip
+below 1 within the admissibility tolerance. An iteration whose tau breaks
+the condition computes its y_{m+1}, and the run iterates again from
+m + 1, with ``absorbed_at`` reset.
+
+The tau-dependent cells are not copied: tau and alpha change on every
+row, and so do the anchored lyapunov_E and fejer_dist, since
+u = tau x - (tau - 1) x - anchor rounds differently for every tau. The
+other cells are computed once, as one row of the block diagnostics from
+the inputs of iteration n + 1, and repeat because their inputs do. Each
+remaining recorded row takes them with its own tau and alpha, and its
+ledger is computed a block at a time by the formula of every other row
+(``_ledger``). Traces, CSVs and reports are therefore bit-identical to
+iterating to the end. ``SolverTrace.absorbed_at`` names the first
+iteration of the skipped stretch that ends the run; unless an earlier
+stretch was left again, the run applied T absorbed_at - 1 times.
 
 Lockstep batches. The iteration of a run is one generator, ``_steps``: it
 yields y_n and receives T y_n and h(T y_n), and does everything else
@@ -86,7 +117,8 @@ CSV_HEADER = "n,tau_n,alpha_n,h_xn,sigma_n,step_norm,x_norm,key_residual,lyapuno
 
 ALGORITHMS = ("ista", "fista", "mfista")
 
-# Recorded float columns of SolverTrace, in the order of one record row.
+# Recorded float columns of SolverTrace, in the order of one record row. The
+# first two and the last two depend on tau; an absorbed run recomputes them.
 _COLUMNS = ("tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov", "fejer_dist")
 
 ISTA_SCHEDULE = {"kind": "constant", "tau": 1.0}
@@ -129,7 +161,10 @@ class SolverTrace:
     Column arrays share one length; optional quantities hold NaN where
     undefined (key_residual while the previous iterate is outside dom h,
     lyapunov/fejer_dist when no anchor is set, fejer_dist for MFISTA whose
-    ledger is defined through the candidate points instead).
+    ledger is defined through the candidate points instead). absorbed_at
+    is the first iteration that the run skipped at an exact fixed point and
+    did not leave again, under any schedule (module docstring); None when
+    the run applied T up to its end, stop or truncation.
     """
 
     algorithm: str
@@ -224,6 +259,13 @@ def _row_buffer(cap: int):
     return col_n, rows
 
 
+def _extrapolate(monotone: bool, x, step, t_y, tau: float, tau_next: float, alpha: float):
+    """y_{n+1} from x_n, step_n = x_n - x_{n-1}, the candidate T y_n, tau_n, tau_{n+1} and alpha_n."""
+    if monotone:
+        return x + (tau / tau_next) * (t_y - x) + alpha * step
+    return x + alpha * step
+
+
 def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverOptions):
     """The iteration of one run, as a generator.
 
@@ -233,7 +275,6 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     sched = check_run(problem, algorithm, schedule, options)
     gamma = problem.gamma
     monotone = algorithm == "mfista"
-    fast_forward = sched.kind == "constant"
     x0 = (
         np.zeros(problem.dim)
         if options.x0 is None
@@ -249,24 +290,29 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     stop_step_norm = options.stop_step_norm
     stop_h_gap = options.stop_h_gap
     divergence_threshold = options.divergence_threshold
-    # step_norm at every iteration only where a stop test or the absorption
-    # gate reads it; otherwise on recorded rows alone, like the other
-    # diagnostic columns
-    every_step_norm = stop_step_norm is not None or fast_forward
-    # Rows queued for _diagnostic_rows, one tuple of its arguments each.
-    # They fill rows[:, done:] in order; an absorbing row that is not
-    # recorded goes last, at rows[:, cursor]. The queue is cleared as soon
-    # as its columns are stacked, which frees the per-row vectors before
-    # the block is computed.
+    # Recorded rows queued for _diagnostic_rows, one tuple of its arguments
+    # each; they fill the last len(pending) rows before cursor. The queue is
+    # cleared as soon as its columns are stacked, which frees the per-row
+    # vectors before the block is computed.
     pending = []
-    done = 0
 
     def flush():
-        nonlocal done
         columns = [np.array(col) for col in zip(*pending)]
         pending.clear()
-        rows[:, done:done + len(columns[0])] = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *columns)
-        done = cursor
+        rows[:, cursor - len(columns[0]):cursor] = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *columns)
+
+    def write_absorbed(block, cells, h_x, x, t_y):
+        # the rows (n, tau, alpha) of a skipped stretch: every other cell
+        # repeats but the anchored ledger, the last two columns
+        nonlocal cursor
+        ns, taus, alphas = (np.array(col) for col in zip(*block))
+        block.clear()
+        end = cursor + len(ns)
+        col_n[cursor:end] = ns
+        rows[:, cursor:end] = cells[:, None]
+        rows[:2, cursor:end] = taus, alphas
+        rows[-2:, cursor:end] = _ledger(gamma, monotone, anchor, anchor_h, taus, h_x, x[None], t_y[None], x[None])
+        cursor = end
 
     x_prev = x0
     h_prev = evaluate_h(problem, x0)
@@ -281,14 +327,14 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     final_x: Optional[np.ndarray] = None
     final_x_prev: Optional[np.ndarray] = None
 
-    for n in range(1, n_iters + 1):
+    # one iterator of n for the loop and for a skipped stretch, which takes
+    # its iterations from it and may hand the rest back
+    iterations = iter(range(1, n_iters + 1))
+    for n in iterations:
         t_y, h_t = yield y
 
-        if monotone:
-            if h_prev <= h_t:
-                x, h_x = x_prev, h_prev
-            else:
-                x, h_x = t_y, h_t
+        if monotone and h_prev <= h_t:
+            x, h_x = x_prev, h_prev
         else:
             x, h_x = t_y, h_t
 
@@ -301,35 +347,35 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         tau_next = sched.next_tau()
         alpha = (tau - 1.0) / tau_next
         step = x - x_prev
-        step_norm = vector_norm(step) if every_step_norm else None
 
         if n == 1:
             x1 = x.copy()
             h1 = h_x
 
-        stop = ((stop_step_norm is not None and step_norm < stop_step_norm)
+        stop = ((stop_step_norm is not None and vector_norm(step) < stop_step_norm)
                 or (stop_h_gap is not None and h_x - problem.known_min < stop_h_gap))
         if stop:
             stopped_at = n
 
-        if monotone:
-            y_next = x + (tau / tau_next) * (t_y - x) + alpha * step
-        else:
-            y_next = x + alpha * step
+        y_next = _extrapolate(monotone, x, step, t_y, tau, tau_next, alpha)
 
-        # Absorbing-state test (module docstring); a zero step norm is the
-        # free gate, the bytes decide.
-        absorbed = (fast_forward and not stop and n < n_iters and step_norm == 0.0
-                    and x.tobytes() == x_prev.tobytes() and y_next.tobytes() == y.tobytes())
-
-        record = n == 1 or n == n_iters or n % every == 0 or stop
-        if record or absorbed:
+        if n == 1 or n == n_iters or n % every == 0 or stop:
             pending.append((tau, alpha, h_x, x_norm, h_prev, h_t, x_prev, y, t_y, x))
-            if record:
-                col_n[cursor] = n
-                cursor += 1
+            col_n[cursor] = n
+            cursor += 1
             if len(pending) == _BLOCK:
                 flush()
+
+        # Absorption (module docstring): iteration n + 1 takes the inputs of
+        # iteration n, bit for bit, and so does every later one as long as
+        # the tau it draws changes nothing in the update of y. MFISTA's
+        # tau_n/tau_{n+1} multiplies T y - x: unless that is zero, tau must
+        # stand still. The float comparisons come first (T y = x implies
+        # h(T y) = h(x)); on an MFISTA plateau h and x stand still while
+        # tau and y move.
+        absorbed = (h_x == h_prev and not stop and n < n_iters
+                    and (not monotone or tau_next == tau or (h_t == h_x and t_y.tobytes() == x.tobytes()))
+                    and y_next.tobytes() == y.tobytes() and x.tobytes() == x_prev.tobytes())
 
         final_x_prev = x_prev
         final_x = x
@@ -340,22 +386,37 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         if stop:
             break
         if absorbed:
+            # Every later iteration takes these inputs again with its own tau
+            # (module docstring): T and h are not called, each tau is still
+            # drawn, and the recorded rows are written a block at a time.
             absorbed_at = n + 1
-            break
+            negative = alpha < 0.0
+            gap_moves = monotone and t_y.tobytes() != x.tobytes()
+            if pending:
+                flush()
+            # one row of the cells that repeat, from the inputs of iteration n + 1
+            inputs = (tau, alpha, h_x, x_norm, h_x, h_t, x, y, t_y, x)
+            cells = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *(np.array([v]) for v in inputs))[:, 0]
+            block = []
+            for n in iterations:
+                tau_next = sched.next_tau()
+                alpha = (tau - 1.0) / tau_next
+                if n == n_iters or n % every == 0:
+                    block.append((n, tau, alpha))
+                    if len(block) == _BLOCK:
+                        write_absorbed(block, cells, h_x, x, t_y)
+                if (alpha < 0.0) != negative or (gap_moves and tau_next != tau):
+                    # this iteration moves y; the run iterates again from n + 1
+                    y = _extrapolate(monotone, x, x - x, t_y, tau, tau_next, alpha)
+                    absorbed_at = None
+                    tau = tau_next
+                    break
+                tau = tau_next
+            if block:
+                write_absorbed(block, cells, h_x, x, t_y)
 
     if pending:
         flush()
-    if absorbed_at is not None:
-        # Every remaining iteration repeats the last one, row included. The
-        # absorbing row sits at rows[:, cursor] unless it was recorded itself.
-        row = rows[:, cursor - 1 if record else cursor].copy()
-        first = cursor
-        for n in range(absorbed_at, n_iters + 1):
-            sched.next_tau()
-            if n == n_iters or n % every == 0:
-                col_n[cursor] = n
-                cursor += 1
-        rows[:, first:cursor] = row[:, None]
 
     columns = {name: rows[j, :cursor] for j, name in enumerate(_COLUMNS)}
     return SolverTrace(
@@ -436,7 +497,18 @@ def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm,
     with np.errstate(invalid="ignore"):
         slack = descent_slack(gamma, h_prev, h_t, x_prev, y, t_y)
     key = np.where(np.isfinite(h_prev) & np.isfinite(h_t), slack, math.nan)
-    # anchored Lyapunov energy E_n and deviation distance
+    lyap, fejer = _ledger(gamma, monotone, anchor, anchor_h, tau, h_x, x_prev, t_y, x)
+    return np.stack((tau, alpha, h_x, sigma, vector_norm(step), x_norm, key, lyap, fejer))
+
+
+def _ledger(gamma, monotone, anchor, anchor_h, tau, h_x, x_prev, t_y, x):
+    """The anchored Lyapunov energy E_n and deviation distance of m rows (NaN without an anchor).
+
+    tau is a length-m array, h_x one too or a float; x_prev, t_y and x are
+    (m, d) stacks, or (1, d) rows that hold for every row. Only the dot
+    product needs a C-contiguous stack, and it takes u, which is computed
+    here.
+    """
     lyap = fejer = np.full(len(tau), math.nan)
     if anchor is not None:
         u = tau[:, None] * (t_y if monotone else x)
@@ -446,7 +518,7 @@ def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm,
         lyap = tau * tau * (h_x - anchor_h) + u_sq / (2.0 * gamma)
         if not monotone:
             fejer = np.sqrt(u_sq)
-    return np.stack((tau, alpha, h_x, sigma, vector_norm(step), x_norm, key, lyap, fejer))
+    return lyap, fejer
 
 
 def fista_run(problem: CompositeProblem, schedule, options: SolverOptions) -> SolverTrace:

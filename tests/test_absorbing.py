@@ -6,16 +6,21 @@ and those columns being computed a block of queued rows at a time. Each
 case runs the solver and the naive reference loop from helpers.py, which
 applies T and h and computes every column at every iteration, one row at a
 time, and requires the two to agree bit for bit: every recorded column,
-the first iterate, the end points and the stop/truncation markers. Only
-constant-schedule runs fast-forward; momentum runs are covered to show
-they still match and never skip. Sparse record cadences, stops and
-truncations that fall between recorded rows, and the reference oracle
-check the gating; run lengths, stops and absorptions around a block
-boundary check the block computation.
+the first iterate, the end points and the stop/truncation markers. Every
+schedule may fast-forward: a run absorbs once an iteration hands the next
+one its own inputs and the taus still to come cannot move y. The
+adversarial cases are the ones a byte test of x and y alone would get
+wrong: MFISTA's rejected candidates that leave y in place for a while
+under a varying tau, and a custom list that dips below 1 after the fixed
+point. Sparse record cadences, stops and truncations that fall between
+recorded rows, and the reference oracle check the gating; run lengths,
+stops and absorptions around a block boundary check the block
+computation.
 """
 
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -39,12 +44,19 @@ from apglab.diagnostics import ORACLE_CHUNK, duality_bound, quadratic_rho
 
 from helpers import naive_run
 
-SUITE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_suite.json"
+ROOT = Path(__file__).resolve().parent.parent
+SUITE_CONFIG = ROOT / "configs" / "paper_suite.json"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+try:
+    import workloads
+finally:
+    sys.path.remove(str(ROOT / "perfbench"))
 
 CONST2 = {"kind": "constant", "tau": 2.0}
 CLASSICAL = {"kind": "classical"}
 
-# case -> (algorithm, schedule); only the constant schedules can absorb
+# case -> (algorithm, schedule)
 CASES = {
     "ista": ("ista", None),
     "fista-const2": ("fista", CONST2),
@@ -52,16 +64,22 @@ CASES = {
     "fista": ("fista", CLASSICAL),
     "mfista": ("mfista", CLASSICAL),
 }
-ABSORBING = {"ista", "fista-const2", "mfista-const2"}
 
-# name -> (problem spec, max_iters, whether its constant-schedule runs absorb)
+# name -> (problem spec, max_iters)
 PROBLEMS = {
-    "lasso-d10-s1": ({"name": "lasso", "dim": 10, "seed": 1}, 9_000, True),
-    "quad2": ({"name": "quadratic", "diag": [1.0, 4.0], "b": [1.0, 1.0]}, 600, True),
+    "lasso-d10-s1": ({"name": "lasso", "dim": 10, "seed": 1}, 9_000),
+    "quad2": ({"name": "quadratic", "diag": [1.0, 4.0], "b": [1.0, 1.0]}, 600),
     "boxquad": ({"name": "quadratic", "diag": [1.0, 4.0], "b": [3.0, 3.0],
-                 "g": {"kind": "box", "lo": 0.0, "hi": 1.0}}, 200, True),
-    "unattained": ({"name": "unattained"}, 2_000, False),
+                 "g": {"kind": "box", "lo": 0.0, "hi": 1.0}}, 200),
+    "unattained": ({"name": "unattained"}, 2_000),
 }
+
+# the runs of test_trace_matches_naive_loop that reach an exact fixed point
+# and absorb; MFISTA's classical runs on lasso and quad2 end on plateaus
+# where candidates are rejected and y keeps moving, and unattained has no
+# fixed point
+ABSORBS = {(problem, case) for problem in ("lasso-d10-s1", "quad2", "boxquad") for case in CASES}
+ABSORBS -= {("lasso-d10-s1", "mfista"), ("quad2", "mfista")}
 
 COLUMNS = ("n", "tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov", "fejer_dist")
 
@@ -84,38 +102,63 @@ def assert_matches_naive(trace, ref):
     assert trace.truncated_at == ref["truncated_at"]
 
 
-@pytest.mark.parametrize("problem_name", sorted(PROBLEMS))
-@pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("record_every", [1, 7, 1000, "max"])
-@pytest.mark.parametrize("anchored", [False, True])
-def test_trace_matches_naive_loop(problem_name, case, record_every, anchored):
-    spec, max_iters, absorbs = PROBLEMS[problem_name]
-    algorithm, schedule = CASES[case]
-    problem = build_problem(spec)
-    anchor = np.linspace(0.0, 1.0, problem.dim) if anchored else None
-    every = max_iters if record_every == "max" else record_every
-    options = SolverOptions(max_iters=max_iters, record_every=every, anchor=anchor)
-    trace = run_algorithm(problem, algorithm, schedule, options)
-    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
-    assert (trace.absorbed_at is not None) == (absorbs and case in ABSORBING)
-
-
-def test_suite_ista_run_skips_most_operator_calls(monkeypatch):
-    run = next(r for r in json.loads(SUITE_CONFIG.read_text())["runs"] if r["name"] == "lasso10-ista")
-    problem = build_problem(run["problem"])
+def count_steps(monkeypatch) -> list:
+    """Count the solver's forward-backward steps (a stacked call counts once)."""
     calls = []
+    fbs = solvers.forward_backward_step
 
     def counting_step(problem, y):
         calls.append(1)
         return fbs(problem, y)
 
-    fbs = solvers.forward_backward_step
     monkeypatch.setattr(solvers, "forward_backward_step", counting_step)
+    return calls
+
+
+@pytest.mark.parametrize("problem_name", sorted(PROBLEMS))
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("record_every", [1, 7, 1000, "max"])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_trace_matches_naive_loop(problem_name, case, record_every, anchored, monkeypatch):
+    spec, max_iters = PROBLEMS[problem_name]
+    algorithm, schedule = CASES[case]
+    problem = build_problem(spec)
+    anchor = np.linspace(0.0, 1.0, problem.dim) if anchored else None
+    every = max_iters if record_every == "max" else record_every
+    options = SolverOptions(max_iters=max_iters, record_every=every, anchor=anchor)
+    calls = count_steps(monkeypatch)
+    trace = run_algorithm(problem, algorithm, schedule, options)
+    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
+    assert (trace.absorbed_at is not None) == ((problem_name, case) in ABSORBS)
+    assert len(calls) == (max_iters if trace.absorbed_at is None else trace.absorbed_at - 1)
+
+
+def test_suite_ista_run_skips_most_operator_calls(monkeypatch):
+    run = next(r for r in json.loads(SUITE_CONFIG.read_text())["runs"] if r["name"] == "lasso10-ista")
+    problem = build_problem(run["problem"])
+    calls = count_steps(monkeypatch)
     trace = run_algorithm(problem, run["algorithm"], None, SolverOptions(max_iters=run["max_iters"]))
     assert run["max_iters"] == 100_000
     assert trace.n[-1] == 100_000
     assert trace.absorbed_at is not None
     assert len(calls) == trace.absorbed_at - 1 < 10_000
+
+
+def test_suite_lasso_batch_ends_at_its_last_momentum_run(monkeypatch):
+    # the suite's eight lasso-d10-s1 runs advance as one batch. Every ista
+    # and fista run absorbs before iteration 10,000, the three 100k-iteration
+    # runs included, so the batch applies T until its 10k-iteration MFISTA
+    # run ends, not 100,000 times
+    runs = [r for r in json.loads(SUITE_CONFIG.read_text())["runs"] if r["problem"] == PROBLEMS["lasso-d10-s1"][0]]
+    problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
+    calls = count_steps(monkeypatch)
+    batch = [(r["algorithm"], r.get("schedule"), SolverOptions(max_iters=r["max_iters"])) for r in runs]
+    traces = dict(solvers.run_batch(problem, batch))
+    assert len(runs) == 8 and max(r["max_iters"] for r in runs) == 100_000
+    assert len(calls) == 10_000
+    for i, r in enumerate(runs):
+        assert traces[i].n[-1] == r["max_iters"]
+        assert (traces[i].absorbed_at is not None) == (r["algorithm"] != "mfista"), r["name"]
 
 
 def test_run_from_exact_fixed_point_absorbs_at_once():
@@ -128,7 +171,7 @@ def test_run_from_exact_fixed_point_absorbs_at_once():
     assert fixed.absorbed_at is not None
     starts = ((lasso, fixed.final_x, 3), (quad, quad.known_argmin, 2))
     for problem, x_star, absorbed_at in starts:
-        for case in sorted(ABSORBING):
+        for case in sorted(CASES):
             algorithm, schedule = CASES[case]
             trace = run_algorithm(problem, algorithm, schedule, SolverOptions(max_iters=1_000, x0=x_star))
             assert trace.absorbed_at == absorbed_at, (problem.name, case)
@@ -140,14 +183,7 @@ def test_oracle_stops_on_its_certificate_and_never_past_its_budget(monkeypatch):
     # chunks well inside the budget; a budget too small to certify in is spent
     # to the last iteration and no further
     problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
-    calls = []
-
-    def counting_step(problem, y):
-        calls.append(1)
-        return fbs(problem, y)
-
-    fbs = solvers.forward_backward_step
-    monkeypatch.setattr(solvers, "forward_backward_step", counting_step)
+    calls = count_steps(monkeypatch)
     oracle = reference_min(problem, budget=9_000)
     assert len(calls) == oracle.iterations < 9_000
     assert oracle.iterations % ORACLE_CHUNK == 0
@@ -168,24 +204,20 @@ def test_step_norm_stop_fires_at_first_zero_step_before_absorption():
     assert stopped.absorbed_at is None
 
 
-def test_momentum_runs_apply_t_at_every_iteration(monkeypatch):
-    # boxquad reaches its exact fixed point within a few iterations, but a
-    # varying schedule keeps every step, and a custom one still runs dry
+def test_momentum_runs_absorb_and_custom_lists_still_run_dry(monkeypatch):
+    # boxquad reaches its exact fixed point within a few iterations; a
+    # varying schedule then skips T like a constant one, still draws every
+    # tau (a custom list runs dry as before) and writes the naive rows
     problem = build_problem(PROBLEMS["boxquad"][0])
-    calls = []
-
-    def counting_step(problem, y):
-        calls.append(1)
-        return fbs(problem, y)
-
-    fbs = solvers.forward_backward_step
-    monkeypatch.setattr(solvers, "forward_backward_step", counting_step)
+    calls = count_steps(monkeypatch)
     values = [1.0 + 0.5 * k for k in range(30)]
     for schedule in (CLASSICAL, {"kind": "custom", "values": values}):
         calls.clear()
-        trace = run_algorithm(problem, "fista", schedule, SolverOptions(max_iters=29))
+        options = SolverOptions(max_iters=29)
+        trace = run_algorithm(problem, "fista", schedule, options)
         assert trace.step_norm[-1] == 0.0
-        assert trace.absorbed_at is None and len(calls) == 29
+        assert trace.absorbed_at is not None and len(calls) == trace.absorbed_at - 1 < 10
+        assert_matches_naive(trace, naive_run(problem, "fista", schedule, options))
     with pytest.raises(ParameterError, match="exhausted after 30 values"):
         run_algorithm(problem, "fista", {"kind": "custom", "values": values}, SolverOptions(max_iters=30))
 
@@ -242,6 +274,111 @@ def test_frozen_x_is_not_absorbed_while_y_moves():
     assert set(trace.key_residual.tolist()) == {-3.0, -4.0}
     assert trace.absorbed_at == 4
     assert_matches_naive(trace, naive_run(problem, "mfista", CONST2, options))
+
+
+UNIT = 5e-324
+
+
+def _subnormal_walk(value, prox_above):
+    """A 1-D problem whose candidate is 3 subnormal units while y <= 2 units, prox_above(y) after.
+
+    Run by classical MFISTA from a zero x0, every candidate of 3 units is
+    rejected, so x stands still at 0 with zero steps, while y = x +
+    (tau_n/tau_{n+1}) z rounds to 2 units for three iterations and then
+    to 3. A byte test of x and y alone would absorb at n = 2 and copy the
+    rows of a candidate that is about to change.
+    """
+    return CompositeProblem(
+        smooth=SmoothTerm(value=value, gradient=lambda x: np.zeros(1), beta=1.0),
+        nonsmooth=NonsmoothTerm(value=lambda x: 0.0,
+                                prox=lambda v, gamma: np.array([3 * UNIT if v[0] <= 2 * UNIT else prox_above(v)])),
+        gamma=1.0,
+        dim=1,
+    )
+
+
+def _signed(sign: float):
+    """h = sign * copysign(1, x) on a zero, 2 elsewhere: h reads the sign of a zero."""
+    return lambda x: sign * math.copysign(1.0, x[0]) if x[0] == 0.0 else 2.0
+
+
+def test_zero_steps_that_flip_bits_are_not_absorbed_under_momentum():
+    # x0 = +0.0 (h = 1) rejects the 3-unit candidates; once y reaches 3
+    # units the candidate is -0.0 (h = -1) and is accepted: x flips to
+    # -0.0 on a step that is exactly zero, like every other step
+    problem = _subnormal_walk(_signed(1.0), lambda v: -0.0)
+    options = SolverOptions(max_iters=20)
+    trace = run_algorithm(problem, "mfista", CLASSICAL, options)
+    assert np.all(trace.step_norm == 0.0)
+    assert trace.h.tolist()[:6] == [1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
+    assert math.copysign(1.0, trace.final_x[0]) == -1.0
+    assert trace.absorbed_at is None
+    assert_matches_naive(trace, naive_run(problem, "mfista", CLASSICAL, options))
+
+
+def test_zero_sign_change_of_x_is_not_absorbed_under_momentum():
+    # the mirror image: x0 = -0.0 (h = 1), and at 3 units of y the +0.0
+    # candidate (h = -1) is accepted, so x goes from -0.0 to +0.0
+    problem = _subnormal_walk(_signed(-1.0), lambda v: 0.0)
+    options = SolverOptions(max_iters=20, x0=np.array([-0.0]))
+    trace = run_algorithm(problem, "mfista", CLASSICAL, options)
+    assert trace.x1.tobytes() == np.array([-0.0]).tobytes()
+    assert trace.final_x.tobytes() == np.array([0.0]).tobytes()
+    assert trace.key_residual.tolist()[:6] == [-1.0, -1.0, -1.0, -1.0, 2.0, -3.0]
+    assert trace.absorbed_at is None
+    assert_matches_naive(trace, naive_run(problem, "mfista", CLASSICAL, options))
+
+
+def test_frozen_x_is_not_absorbed_while_y_moves_under_momentum():
+    # h = x / unit: x stays at 0 and every candidate is rejected; the key
+    # residual reads the candidate, 3 units while y is 2 and 4 units after
+    problem = _subnormal_walk(lambda x: x[0] / UNIT, lambda v: 4 * UNIT)
+    options = SolverOptions(max_iters=20)
+    trace = run_algorithm(problem, "mfista", CLASSICAL, options)
+    assert np.all(trace.sigma == 0.0) and np.all(trace.step_norm == 0.0)
+    assert trace.key_residual.tolist()[:6] == [-3.0, -3.0, -3.0, -3.0, -4.0, -4.0]
+    assert trace.absorbed_at is None
+    assert_matches_naive(trace, naive_run(problem, "mfista", CLASSICAL, options))
+
+
+@pytest.mark.parametrize("algorithm", ["fista", "mfista"])
+@pytest.mark.parametrize("pair", [name for name, _, _ in workloads.SHARED_PAIRS])
+def test_shared_schedules_seed_1_matches_naive(pair, algorithm, tmp_path, monkeypatch):
+    # the benchmark's seed-1 lasso instance reaches FISTA fixed points within
+    # a few dozen iterations; its MFISTA runs pass a byte test of x and y
+    # while y still moves (classical at n = 245, for one)
+    run = next(r for r in workloads.build_workload("shared-schedules", 1, ROOT, tmp_path).runs if r["name"] == pair)
+    assert run["problem"]["seed"] == 1905448114
+    problem = build_problem(run["problem"])
+    options = SolverOptions(max_iters=3_000, anchor=np.linspace(0.0, 1.0, problem.dim))
+    calls = count_steps(monkeypatch)
+    trace = run_algorithm(problem, algorithm, run["schedule"], options)
+    assert (trace.absorbed_at is not None) == (algorithm == "fista")
+    assert len(calls) == (3_000 if trace.absorbed_at is None else trace.absorbed_at - 1)
+    assert_matches_naive(trace, naive_run(problem, algorithm, run["schedule"], options))
+
+
+def test_custom_tau_below_one_after_the_fixed_point_moves_y(monkeypatch):
+    # x0 = 1 and T y = -0.0 for every y but -0.0, whose image is 5: FISTA
+    # sits at x = -0.0 with y = +0.0 from n = 3 on, since alpha >= 0 turns
+    # x + alpha * 0 into +0.0. The list stays admissible within
+    # ADMISSIBILITY_TOL while tau_10 = 1 - 4e-13 < 1; that alpha is negative,
+    # y becomes -0.0 and x_11 = 5. The run absorbs at n = 4 and iterates
+    # again from n = 11.
+    problem = CompositeProblem(
+        smooth=SmoothTerm(value=lambda x: x[0], gradient=lambda x: np.zeros(1), beta=1.0),
+        nonsmooth=NonsmoothTerm(value=lambda x: 0.0, prox=lambda v, gamma: np.array(
+            [5.0 if v[0] == 0.0 and math.copysign(1.0, v[0]) < 0.0 else -0.0])),
+        gamma=1.0,
+        dim=1,
+    )
+    schedule = {"kind": "custom", "values": [1.0 + 5e-13] * 9 + [1.0 - 4e-13] + [1.0] * 21}
+    options = SolverOptions(max_iters=30, x0=np.array([1.0]))
+    calls = count_steps(monkeypatch)
+    trace = run_algorithm(problem, "fista", schedule, options)
+    assert trace.h.tolist()[9:11] == [0.0, 5.0]
+    assert len(calls) == 30 - 7
+    assert_matches_naive(trace, naive_run(problem, "fista", schedule, options))
 
 
 def _between_rows(n: int, options) -> bool:

@@ -159,6 +159,23 @@ def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
     assert "divergence_xnorm(worst=none, n=none)" in lines[1]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("liminf_threshold", "nan"),
+    ("liminf_threshold", NAN),
+    ("liminf_threshold", True),
+    ("liminf_threshold", "-1000"),
+    ("stop_step_norm", True),
+], ids=["threshold-nan-str", "threshold-nan", "threshold-true", "threshold-str", "stop-true"])
+def test_run_loose_number_exits_2(tmp_path, capsys, key, value):
+    # each of these used to run: float() took the strings and the bools, and
+    # a NaN threshold made running_min fail with "never fell below nan"
+    cfg = write_config(tmp_path / "c.json", [dict(QUAD_RUN, **{key: value})])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run 'q': {key} must be a finite number") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_duplicate_names_exit_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", [QUAD_RUN, dict(QUAD_RUN)])
     assert cli.main(["run", str(cfg)]) == 2
