@@ -44,6 +44,7 @@ from .schedules import (
 # perfbench/tracer.py hooks apglab.cli.run_algorithm.
 from .solvers import (  # noqa: F401
     SolverOptions,
+    _cells,
     check_run,
     read_trace_csv,
     run_algorithm,
@@ -286,16 +287,37 @@ def _reference_for_plot(path: Path, cols: dict, fixed) -> float:
         return float(fixed)
     report_path = path.with_name(path.stem + ".report.json")
     if report_path.exists():
-        with open(report_path) as fh:
-            data = json.load(fh)
+        try:
+            with open(report_path) as fh:
+                data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{report_path}: not valid JSON: {exc}") from None
+        if not isinstance(data, dict) or not isinstance(data.get("reference"), (dict, type(None))):
+            raise ConfigError(f"{report_path}: expected a JSON object whose 'reference' is an object")
         val = (data.get("reference") or {}).get("min_h")
-        if isinstance(val, (int, float)) and math.isfinite(val):
+        # a bool is an int to isinstance, not a reference value
+        if isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val):
             return float(val)
     h = cols["h_xn"]
+    if not h.size:
+        return math.nan  # no rows, so no gap to take
     best = float(np.nanmin(h))
     print(f"note: no reference value for {path.name}, using its own min h = {best:.6g}",
           file=sys.stderr)
     return best
+
+
+def _plot_values(path: Path, quantity: str, min_h) -> tuple:
+    """The iteration numbers of a trace CSV and the values of one quantity at them."""
+    cols = read_trace_csv(path)
+    if quantity in ("h_gap", "n_times_gap"):
+        vals = cols["h_xn"] - _reference_for_plot(path, cols, min_h)
+        if quantity == "n_times_gap":
+            vals = cols["n"] * vals
+    else:
+        # a copy: the column is a view that would keep the whole table alive
+        vals = cols[{"sigma": "sigma_n"}.get(quantity, quantity)].copy()
+    return cols["n"], vals
 
 
 def cmd_plotdata(args) -> int:
@@ -306,26 +328,22 @@ def cmd_plotdata(args) -> int:
     try:
         for raw in args.traces:
             path = Path(raw)
-            cols = read_trace_csv(path)
-            n = cols["n"].astype(float)
-            q = args.quantity
-            if q in ("h_gap", "n_times_gap"):
-                ref = _reference_for_plot(path, cols, args.min_h)
-                vals = cols["h_xn"] - ref
-                if q == "n_times_gap":
-                    vals = n * vals
-            else:
-                column = {"sigma": "sigma_n"}.get(q, q)
-                vals = cols[column]
+            n, vals = _plot_values(path, args.quantity, args.min_h)
             keep = np.isfinite(vals)
-            dat_path = out_dir / f"{path.stem}.{q}.dat"
+            dat_path = out_dir / f"{path.stem}.{args.quantity}.dat"
+            # an absorbed tail repeats its value: each run of equal bits is formatted once
+            cells = _cells(vals[keep], repr)
             with open(dat_path, "w", newline="\n") as fh:
-                fh.write("".join([f"{ni} {vi!r}\n"
-                                  for ni, vi in zip(cols["n"][keep].tolist(), vals[keep].tolist())]))
+                fh.write("".join([f"{ni} {vi}\n" for ni, vi in zip(n[keep].tolist(), cells)]))
             written.append(dat_path)
             series.append((path.stem, n, vals))
+            if not n.size:
+                print(f"note: {path.name} has no rows; its .dat file is empty and the SVG leaves it out",
+                      file=sys.stderr)
     except (OSError, ParameterError, KeyError) as exc:
         return _fail(f"cannot read trace data: {exc}", EXIT_CONFIG)
+    except ConfigError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
 
     svg_path = out_dir / f"{args.quantity}.svg"
     svg = render_line_chart(series, loglog=args.loglog, title=args.quantity,

@@ -93,10 +93,13 @@ are written and returns it when the trace is dropped (``_row_buffer``), so
 k live runs hold the rows they have written, not k preallocated tables.
 """
 
+import io
 import math
 import mmap
+import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -112,6 +115,13 @@ from .problem import (
     vector_norm,
 )
 from .schedules import Schedule
+
+try:
+    # hashlib loads OpenSSL, which costs every process about 3.5 MB of
+    # resident memory; the builtin BLAKE2 module costs none
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 CSV_HEADER = "n,tau_n,alpha_n,h_xn,sigma_n,step_norm,x_norm,key_residual,lyapunov_E"
 
@@ -555,6 +565,37 @@ def run_algorithm(problem: CompositeProblem, algorithm: str, schedule_spec: Opti
 # trace is; larger chunks measured slower.
 _CSV_CHUNK = 512
 
+# The sidecar <name>.trace.npy beside each trace CSV holds the (m, 9) float64
+# table that parsing that CSV gives (n as a float, every NaN the quiet NaN
+# that "nan" and an empty cell parse to), as a plain .npy file followed by a
+# 32-byte trailer: the BLAKE2b-256 hash of _SIDECAR_TAG, the CSV's hash and
+# the hash of the .npy bytes. read_trace_csv takes the table from it only
+# when the trailer matches the CSV beside it; otherwise it parses the CSV.
+_SIDECAR_TAG = b"apglab trace sidecar 1\n" + CSV_HEADER.encode()
+_TABLE_WIDTH = len(CSV_HEADER.split(","))
+_DIGEST_SIZE = 32
+_HASH_BLOCK = 1 << 18
+
+
+def _sidecar_path(path) -> Path:
+    return Path(path).with_suffix(".trace.npy")
+
+
+def _npy_header(rows: int) -> bytes:
+    """The .npy magic and header of a C-order little-endian float64 (rows, 9) array."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": "<f8", "fortran_order": False, "shape": (rows, _TABLE_WIDTH)})
+    return head.getvalue()
+
+
+def _hash(data: bytes = b""):
+    return blake2b(data, digest_size=_DIGEST_SIZE)
+
+
+def _trailer(csv_digest: bytes, npy_digest: bytes) -> bytes:
+    return _hash(_SIDECAR_TAG + csv_digest + npy_digest).digest()
+
 
 def _format_cell(v: float) -> str:
     return "" if math.isnan(v) else repr(v)
@@ -567,6 +608,8 @@ def _cells(values: np.ndarray, fmt) -> list:
     runs repeat most of their cells, and a float's repr costs more than the
     comparison and the expansion together.
     """
+    if not values.size:
+        return []
     bits = values.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     formatted = np.array([fmt(v) for v in values[starts].tolist()], dtype=object)
@@ -574,30 +617,71 @@ def _cells(values: np.ndarray, fmt) -> list:
 
 
 def write_trace_csv(trace: SolverTrace, path) -> None:
-    """Serialize the recorded columns; floats use shortest round-trip form."""
+    """Serialize the recorded columns; floats use shortest round-trip form.
+
+    The sidecar <name>.trace.npy (the note above _SIDECAR_TAG) is written
+    beside the CSV, a chunk of rows at a time with it.
+    """
     floats = (trace.tau, trace.alpha, trace.h, trace.sigma, trace.step_norm, trace.x_norm)
     optional = (trace.key_residual, trace.lyapunov)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    head = (CSV_HEADER + "\n").encode()
+    npy_header = _npy_header(trace.n.size)
+    csv_digest, npy_digest = _hash(head), _hash(npy_header)
+    with open(path, "wb") as fh, open(_sidecar_path(path), "wb") as side:
+        fh.write(head)
+        side.write(npy_header)
         for lo in range(0, trace.n.size, _CSV_CHUNK):
             hi = lo + _CSV_CHUNK
             cells = [map(str, trace.n[lo:hi].tolist())]
             cells += [_cells(col[lo:hi], repr) for col in floats]
             cells += [_cells(col[lo:hi], _format_cell) for col in optional]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            text = ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+            fh.write(text)
+            csv_digest.update(text)
+            table = np.column_stack([trace.n[lo:hi], *(col[lo:hi] for col in floats + optional)]).astype("<f8")
+            table[np.isnan(table)] = math.nan
+            side.write(table)
+            npy_digest.update(table)
+        side.write(_trailer(csv_digest.digest(), npy_digest.digest()))
+
+
+def _csv_digest(path) -> bytes:
+    digest = _hash()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _read_sidecar(path) -> Optional[np.ndarray]:
+    """The table of the trace CSV at path from its sidecar; None unless the sidecar's trailer matches."""
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            # magic (6 bytes), version (2) and the header's length (2, little-endian)
+            prefix = fh.read(10)
+            header = prefix + fh.read(int.from_bytes(prefix[8:10], "little"))
+            rows, extra = divmod(os.fstat(fh.fileno()).st_size - len(header) - _DIGEST_SIZE,
+                                 8 * _TABLE_WIDTH)
+            if extra or rows < 0 or header != _npy_header(rows):
+                return None
+            table = np.empty((rows, _TABLE_WIDTH), "<f8")
+            fh.readinto(table)
+            trailer = fh.read()
+    except OSError:
+        return None
+    npy_digest = _hash(header)
+    npy_digest.update(table)
+    if trailer != _trailer(_csv_digest(path), npy_digest.digest()):
+        return None
+    return table
 
 
 def _optional_cell(cell: str) -> float:
     return float(cell) if cell else math.nan
 
 
-def read_trace_csv(path) -> dict:
-    """Load a trace CSV into column arrays; empty cells become NaN.
-
-    Only the optional columns (key_residual, lyapunov_E) may be empty. A
-    malformed cell or a row of the wrong length raises ParameterError.
-    """
-    names = CSV_HEADER.split(",")
+def _parse_trace_csv(path) -> np.ndarray:
+    """The table of the trace CSV at path, parsed; empty cells become NaN."""
     with open(path, "r") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -606,12 +690,25 @@ def read_trace_csv(path) -> dict:
             with warnings.catch_warnings():
                 # a trace of no rows is empty, not malformed
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", ndmin=2,
-                                   converters={j: _optional_cell for j in (7, 8)})
+                return np.loadtxt(fh, delimiter=",", ndmin=2, converters={j: _optional_cell for j in (7, 8)})
         except ValueError as exc:
             raise ParameterError(f"{path}: malformed trace row: {exc}") from None
+
+
+def read_trace_csv(path) -> dict:
+    """Load a trace CSV into column arrays; empty cells become NaN.
+
+    The table comes from the CSV's sidecar when its trailer matches the
+    CSV, else from parsing the CSV; the columns are the same either way.
+    Only the optional columns (key_residual, lyapunov_E) may be empty. A
+    malformed cell or a row of the wrong length raises ParameterError.
+    """
+    table = _read_sidecar(path)
+    if table is None:
+        table = _parse_trace_csv(path)
+    names = CSV_HEADER.split(",")
     if table.size == 0:
-        return {name: np.array([]) for name in names}
+        table = np.empty((0, len(names)))
     if table.shape[1] != len(names):
         raise ParameterError(f"{path}: expected {len(names)} cells per row, got {table.shape[1]}")
     out = {"n": table[:, 0].astype(np.int64)}

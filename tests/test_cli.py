@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from apglab import SolverOptions, build_problem, cli, diagnostics, run_batch, schedules
-from apglab.solvers import CSV_HEADER
+from apglab.solvers import CSV_HEADER, read_trace_csv
 
 
 def write_config(path: Path, runs, out_dir=None) -> Path:
@@ -216,7 +217,7 @@ def test_run_solves_each_distinct_oracle_once(tmp_path, monkeypatch):
         assert cli.main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / out)]) == 0
     assert len(solves.read_text().splitlines()) == 2
     outputs = sorted((tmp_path / "seq").iterdir())
-    assert len(outputs) == 8
+    assert len(outputs) == 12  # a CSV, its sidecar and a report per run
     for path in outputs:
         assert path.read_bytes() == (tmp_path / "par" / path.name).read_bytes()
 
@@ -254,7 +255,7 @@ def test_runs_sharing_a_problem_write_the_same_bytes_batched_or_alone(tmp_path, 
         one = write_config(tmp_path / f"{run['name']}.json", [run])
         assert cli.main(["run", str(one), "--out", str(tmp_path / "alone")]) == 0
     names = sorted(path.name for path in (tmp_path / "jobs1").iterdir())
-    assert len(names) == 2 * len(runs)
+    assert len(names) == 3 * len(runs)
     for other in ("jobs3", "alone"):
         assert sorted(path.name for path in (tmp_path / other).iterdir()) == names
         for name in names:
@@ -428,6 +429,86 @@ def test_plotdata_malformed_trace_exits_2(tmp_path, capsys, bad_row):
     trace.write_text("\n".join([CSV_HEADER, "1,1.0,0.0,2.5,3.0,0.5,1.5,,", bad_row]) + "\n")
     assert cli.main(["plotdata", str(trace), "--quantity", "sigma", "--out", str(tmp_path / "p")]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def quad_trace(tmp_path) -> Path:
+    """q.csv, its sidecar and its report, from QUAD_RUN."""
+    cfg = write_config(tmp_path / "c.json", [QUAD_RUN])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    return tmp_path / "runs" / "q.csv"
+
+
+@pytest.mark.parametrize("report", ["{not json", "[1]", '{"reference": [1]}', '{"reference": 2.5}'],
+                         ids=["not json", "not an object", "reference a list", "reference a number"])
+def test_plotdata_bad_sibling_report_exits_2(tmp_path, quad_trace, capsys, report):
+    quad_trace.with_name("q.report.json").write_text(report)
+    capsys.readouterr()
+    assert cli.main(["plotdata", str(quad_trace), "--quantity", "h_gap", "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "q.report.json" in err and "Traceback" not in err
+
+
+def test_plotdata_bool_reference_is_not_a_number(tmp_path, quad_trace, capsys):
+    report = quad_trace.with_name("q.report.json")
+    data = json.loads(report.read_text())
+    data["reference"]["min_h"] = True
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["plotdata", str(quad_trace), "--quantity", "h_gap", "--out", str(tmp_path / "p")]) == 0
+    assert "no reference value for q.csv" in capsys.readouterr().err
+    h = read_trace_csv(quad_trace)["h_xn"]
+    first = float((tmp_path / "p" / "q.h_gap.dat").read_text().split("\n")[0].split()[1])
+    assert first == h[0] - h.min() != h[0] - 1.0
+
+
+def test_plotdata_empty_trace_gives_an_empty_dat_left_out_of_the_svg(tmp_path, quad_trace, capsys):
+    # truncated at n = 1: the CSV is its header alone
+    stuck = {"name": "stuck", "problem": {"name": "affine-descent"}, "algorithm": "ista", "max_iters": 50,
+             "divergence_threshold": 1e-300}
+    cfg = write_config(tmp_path / "stuck.json", [stuck])
+    cli.main(["run", str(cfg), "--out", str(quad_trace.parent)])
+    empty = quad_trace.with_name("stuck.csv")
+    assert empty.read_text() == CSV_HEADER + "\n"
+    # with the sidecar and the report, then parsed and with the trace's own minimum
+    for drop in ([], ["stuck.trace.npy", "stuck.report.json"]):
+        for name in drop:
+            quad_trace.with_name(name).unlink()
+        plots = tmp_path / f"plots{len(drop)}"
+        capsys.readouterr()
+        assert cli.main(["plotdata", str(quad_trace), str(empty), "--quantity", "h_gap", "--loglog",
+                         "--out", str(plots)]) == 0
+        assert "stuck.csv has no rows" in capsys.readouterr().err
+        assert (plots / "stuck.h_gap.dat").read_bytes() == b""
+        assert (plots / "q.h_gap.dat").stat().st_size > 0
+        svg = (plots / "h_gap.svg").read_text()
+        assert "stuck" not in svg and ">q<" in svg
+
+
+def test_plotdata_dat_bytes_are_one_repr_per_point(tmp_path):
+    # classical FISTA on this quadratic absorbs at n = 202: a constant tail
+    cfg = write_config(tmp_path / "c.json", [dict(QUAD_RUN, max_iters=1500)])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    trace = tmp_path / "runs" / "q.csv"
+    cols = read_trace_csv(trace)
+    ref = json.loads(trace.with_name("q.report.json").read_text())["reference"]["min_h"]
+    values = {"h_gap": cols["h_xn"] - ref, "sigma": cols["sigma_n"], "step_norm": cols["step_norm"]}
+    values["n_times_gap"] = cols["n"] * values["h_gap"]
+    assert np.unique(values["h_gap"][300:]).size == 1
+    for quantity, vals in values.items():
+        assert cli.main(["plotdata", str(trace), "--quantity", quantity, "--out", str(tmp_path / "p")]) == 0
+        expected = "".join(f"{ni} {vi!r}\n" for ni, vi in zip(cols["n"].tolist(), vals.tolist()) if math.isfinite(vi))
+        assert (tmp_path / "p" / f"q.{quantity}.dat").read_text() == expected, quantity
+
+
+def test_plotdata_malformed_row_next_to_a_stale_sidecar_exits_2(tmp_path, quad_trace, capsys):
+    lines = quad_trace.read_text().splitlines(keepends=True)
+    lines[2] = "2,1.0,0.0,oops,3.0,0.5,1.5,,\n"
+    quad_trace.write_text("".join(lines))
+    assert quad_trace.with_suffix(".trace.npy").exists()
+    capsys.readouterr()
+    assert cli.main(["plotdata", str(quad_trace), "--quantity", "sigma", "--out", str(tmp_path / "p")]) == 2
+    assert "q.csv" in capsys.readouterr().err
 
 
 def test_plotdata_rejects_unknown_quantity(tmp_path):
