@@ -31,12 +31,16 @@ LASSO_ROW_FACTOR = 2
 LASSO_LAM_SCALE = 0.1
 LASSO_CONDITION = 1e2
 
+# power_iteration's relative tolerance on the Rayleigh quotient, and its iteration cap
+POWER_REL_TOL = 1e-12
+POWER_MAX_ITERS = 200_000
 
-def power_iteration(matrix: np.ndarray, rel_tol: float = 1e-12, max_iters: int = 200_000) -> float:
+
+def power_iteration(matrix: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix.
 
     Deterministic start vector; stops when the Rayleigh quotient is stable
-    to ``rel_tol`` in relative terms. Kept dependency-free on purpose: the
+    to POWER_REL_TOL in relative terms. Kept dependency-free on purpose: the
     dense eigensolver stays in the test suite as an independent check.
     """
     m = np.asarray(matrix, dtype=float)
@@ -44,14 +48,14 @@ def power_iteration(matrix: np.ndarray, rel_tol: float = 1e-12, max_iters: int =
     v = 1.0 + np.arange(d) / max(d, 1)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         w = m @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         new_lam = float(v @ w)
         v = w / norm
-        if abs(new_lam - lam) <= rel_tol * max(abs(new_lam), 1e-300):
+        if abs(new_lam - lam) <= POWER_REL_TOL * max(abs(new_lam), 1e-300):
             return abs(new_lam)
         lam = new_lam
     return abs(lam)
@@ -82,7 +86,7 @@ def make_quadratic(a, b) -> SmoothTerm:
     """f(x) = <Ax, x>/2 - <b, x> for symmetric positive semidefinite A.
 
     beta is the largest eigenvalue of A, computed by power iteration to a
-    relative tolerance of 1e-12.
+    relative tolerance of POWER_REL_TOL.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -172,7 +176,7 @@ def make_zero() -> NonsmoothTerm:
                          params={"weight": 0.0})
 
 
-def make_l1(weight: float = 1.0) -> NonsmoothTerm:
+def make_l1(weight: float) -> NonsmoothTerm:
     """g(x) = weight * ||x||_1 with the exact soft-threshold prox."""
     if not (math.isfinite(weight) and weight >= 0.0):
         raise ParameterError(f"l1: weight must be finite and >= 0, got {weight}")

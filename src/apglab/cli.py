@@ -6,6 +6,7 @@ problem parameters, 4 no certified reference minimum within oracle_budget.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -43,7 +44,6 @@ from .schedules import (
 # run_algorithm is not called here, but stays importable under this name:
 # perfbench/tracer.py hooks apglab.cli.run_algorithm.
 from .solvers import (  # noqa: F401
-    SolverOptions,
     _cells,
     check_run,
     read_trace_csv,
@@ -84,17 +84,6 @@ def _problem_key(run: RunSpec) -> tuple:
     return json.dumps(run.problem, sort_keys=True), run.oracle_budget
 
 
-def _solver_options(run: RunSpec, anchor=None) -> SolverOptions:
-    return SolverOptions(
-        max_iters=run.max_iters,
-        record_every=run.record_every,
-        anchor=anchor,
-        stop_step_norm=run.stop_step_norm,
-        stop_h_gap=run.stop_h_gap,
-        divergence_threshold=run.divergence_threshold,
-    )
-
-
 def _resolve_run_reference(run: RunSpec) -> ReferenceInfo:
     """Worker for one distinct problem: its reference minimum."""
     return resolve_reference(build_problem(run.problem), budget=run.oracle_budget)
@@ -115,17 +104,15 @@ def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
     """
     problem = build_problem(runs[0].problem)
     batch = [(run.algorithm, run.schedule,
-              _solver_options(run, reference.witness if run.anchor == "auto" else None))
+              dataclasses.replace(run.options, anchor=reference.witness) if run.anchor == "auto" else run.options)
              for run in runs]
     results = [None] * len(runs)
     for i, trace in run_batch(problem, batch):
         run = runs[i]
-        csv_path = os.path.join(out_dir, f"{run.name}.csv")
-        report_path = os.path.join(out_dir, f"{run.name}.report.json")
-        write_trace_csv(trace, csv_path)
+        write_trace_csv(trace, os.path.join(out_dir, f"{run.name}.csv"))
         report = build_report(trace, problem, reference, run_name=run.name,
                               liminf_threshold=run.liminf_threshold)
-        with open(report_path, "w", newline="\n") as fh:
+        with open(os.path.join(out_dir, f"{run.name}.report.json"), "w", newline="\n") as fh:
             fh.write(report_to_json(report))
         results[i] = {
             "name": run.name,
@@ -133,8 +120,6 @@ def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
             "failed": [_failure(name, report["checks"][name]) for name in failed_checks(report)],
             "records": len(trace.n),
             "diverging": trace.diverging,
-            "csv": csv_path,
-            "report": report_path,
         }
         # the other runs go on; only they should hold trace rows meanwhile
         del trace, report
@@ -167,6 +152,8 @@ def _run_all(mapper, runs: list, out_dir: str, jobs: int) -> list:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        return _fail(f"--jobs must be >= 1, got {args.jobs}", EXIT_CONFIG)
     try:
         cfg = parse_config(args.config)
         _apply_seed_override(cfg.runs)
@@ -182,17 +169,19 @@ def cmd_run(args) -> int:
             key = _problem_key(run)
             if key not in problems:
                 problems[key] = build_problem(run.problem)
-            run.schedule = check_run(problems[key], run.algorithm, run.schedule, _solver_options(run)).spec
+            run.schedule = check_run(problems[key], run.algorithm, run.schedule, run.options).spec
         except (ParameterError, AdmissibilityError) as exc:
             return _fail(f"run {run.name!r}: {exc}", EXIT_PARAMS)
 
     out_dir = args.out if args.out is not None else cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
+    # no more workers than runs: a pool forks all of its workers at once
+    workers = min(args.jobs, len(cfg.runs))
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = _run_all(pool.map, cfg.runs, out_dir, args.jobs)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = _run_all(pool.map, cfg.runs, out_dir, workers)
         else:
             results = _run_all(map, cfg.runs, out_dir, 1)
     except OracleUnreliable as exc:
@@ -273,11 +262,11 @@ def cmd_schedule(args) -> int:
           f"analytic bound {db if math.isfinite(db) else 'none'}")
     print(f"blowsup partial sum at n={rows}: {float(running_blow[-1]):.12g}")
     if spec["kind"] == "classical":
-        growth = classical_lower_bound_check(rows, tau1=spec["tau1"])
+        growth = classical_lower_bound_check(taus[:rows])
         print(f"classical lower bound tau_n >= (n+1)/2: min slack {growth['min_slack']:.3e} "
               f"({'ok' if growth['ok'] else 'VIOLATED'})")
         if spec["tau1"] == 1.0:
-            r = folklore_expansion_check(rows)
+            r = folklore_expansion_check(taus)
             print(f"momentum expansion residual n(alpha_n-1)+3: {float(r[-1]):.6g} at n={rows}")
     return EXIT_OK if report.ok else EXIT_PARAMS
 
@@ -346,8 +335,7 @@ def cmd_plotdata(args) -> int:
         return _fail(str(exc), EXIT_CONFIG)
 
     svg_path = out_dir / f"{args.quantity}.svg"
-    svg = render_line_chart(series, loglog=args.loglog, title=args.quantity,
-                            xlabel="n", ylabel=args.quantity)
+    svg = render_line_chart(series, loglog=args.loglog, title=args.quantity, ylabel=args.quantity)
     with open(svg_path, "w", newline="\n") as fh:
         fh.write(svg)
     written.append(svg_path)

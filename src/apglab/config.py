@@ -5,6 +5,8 @@ A config is JSON with a versioned schema: {"version": 1, "out_dir": ...,
 optional schedule spec, and run-length/instrumentation knobs. Structural
 problems raise ConfigError; parameter-level problems (bad schedule
 values, unknown problem names) surface later when the specs are built.
+A knob a run leaves out takes its default from where it is used:
+SolverOptions, or the oracle and report defaults of the diagnostics.
 """
 
 import json
@@ -13,7 +15,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .diagnostics import LIMINF_THRESHOLD, ORACLE_BUDGET
 from .errors import ConfigError
+from .solvers import SolverOptions
 
 CONFIG_VERSION = 1
 
@@ -37,18 +41,16 @@ _RUN_KEYS = {
 
 @dataclass
 class RunSpec:
+    """One parsed run; options holds its solver knobs, without the anchor, which is resolved per problem."""
+
     name: str
     problem: dict
     algorithm: str
-    max_iters: int
-    schedule: Optional[dict] = None
-    record_every: int = 1
-    anchor: str = "auto"
-    oracle_budget: int = 50_000
-    liminf_threshold: float = -1e6
-    stop_step_norm: Optional[float] = None
-    stop_h_gap: Optional[float] = None
-    divergence_threshold: float = 1e150
+    schedule: Optional[dict]
+    options: SolverOptions
+    anchor: str
+    oracle_budget: int
+    liminf_threshold: float
 
 
 @dataclass
@@ -108,21 +110,20 @@ def _parse_run(raw, position: int) -> RunSpec:
     anchor = raw.get("anchor", "auto")
     if anchor not in ("auto", "none"):
         raise ConfigError(f"run {name!r}: anchor must be 'auto' or 'none', got {anchor!r}")
-    threshold = _finite(name, "liminf_threshold", raw.get("liminf_threshold", -1e6))
-    divergence = _optional_positive(name, "divergence_threshold", raw.get("divergence_threshold"))
+    options = {key: _require_int(name, key, raw[key], 1) for key in ("max_iters", "record_every") if key in raw}
+    for key in ("stop_step_norm", "stop_h_gap", "divergence_threshold"):
+        value = _optional_positive(name, key, raw.get(key))
+        if value is not None:  # null is the default, as is a missing key
+            options[key] = value
     return RunSpec(
         name=name,
         problem=raw["problem"],
         algorithm=raw["algorithm"],
-        max_iters=_require_int(name, "max_iters", raw["max_iters"], 1),
         schedule=raw.get("schedule"),
-        record_every=_require_int(name, "record_every", raw.get("record_every", 1), 1),
+        options=SolverOptions(**options),
         anchor=anchor,
-        oracle_budget=_require_int(name, "oracle_budget", raw.get("oracle_budget", 50_000), 1),
-        liminf_threshold=threshold,
-        stop_step_norm=_optional_positive(name, "stop_step_norm", raw.get("stop_step_norm")),
-        stop_h_gap=_optional_positive(name, "stop_h_gap", raw.get("stop_h_gap")),
-        divergence_threshold=divergence if divergence is not None else 1e150,
+        oracle_budget=_require_int(name, "oracle_budget", raw.get("oracle_budget", ORACLE_BUDGET), 1),
+        liminf_threshold=_finite(name, "liminf_threshold", raw.get("liminf_threshold", LIMINF_THRESHOLD)),
     )
 
 

@@ -55,34 +55,18 @@ def _na(detail: str) -> Verdict:
 
 
 @dataclasses.dataclass(frozen=True)
-class OracleResult:
-    """A certified interval [lower, upper] for min h and the point that attains upper.
-
-    min_h is upper; error_bar = max(upper - lower, 0) + allowance bounds
-    its distance to min h, allowance being the rounding allowance of the
-    two end points (:func:`duality_bound`). Rounding may leave lower a few
-    ulps above upper; min h is then within allowance of both.
-    """
-
-    min_h: float
-    error_bar: float
-    argmin: np.ndarray
-    lower: float
-    upper: float
-    allowance: float
-    iterations: int
-    certificate: str
-    budget: int
-
-
-@dataclasses.dataclass(frozen=True)
 class ReferenceInfo:
     """Best available knowledge of min h for a run.
 
     source is "catalog" (analytic), "oracle" (reference_min), or "none"
     (no minimizer; inf_h carries the analytic infimum when finite). lower,
     upper, iterations and certificate are the oracle's provenance (a
-    catalog minimum is its own interval, certified as "closed form").
+    catalog minimum is its own interval, certified as "closed form"). The
+    witness attains upper = min_h, and error_bar = max(upper - lower, 0) +
+    allowance bounds its distance to min h, allowance (0 for a closed form)
+    being the rounding allowance of the two end points (:func:`duality_bound`).
+    Rounding may leave lower a few ulps above upper; min h is then within
+    allowance of both.
     """
 
     min_h: Optional[float]
@@ -94,6 +78,12 @@ class ReferenceInfo:
     upper: Optional[float] = None
     iterations: int = 0
     certificate: Optional[str] = None
+    allowance: float = 0.0
+
+
+# Defaults of the run keys oracle_budget and liminf_threshold (running_min's escape level)
+ORACLE_BUDGET = 50_000
+LIMINF_THRESHOLD = -1e6
 
 
 # Restarted FISTA: the oracle's chunk length, and its stop test's relative gap.
@@ -170,7 +160,7 @@ def duality_bound(problem: CompositeProblem, x: np.ndarray, rho: float) -> tuple
     return lower, ROUNDING_UNITS * _UNIT_ROUNDOFF * max([1.0] + [size for size in sizes if math.isfinite(size)])
 
 
-def reference_min(problem: CompositeProblem, budget: int = 50_000) -> OracleResult:
+def reference_min(problem: CompositeProblem, budget: int = ORACLE_BUDGET) -> ReferenceInfo:
     """Certified reference solve for min h: restarted FISTA until a duality gap closes.
 
     Classical FISTA (:func:`~apglab.solvers.fista_run`) runs in chunks of
@@ -181,9 +171,9 @@ def reference_min(problem: CompositeProblem, budget: int = 50_000) -> OracleResu
     upper the running min of h, attained at the witness. The solve stops
     once upper - lower <= max(ORACLE_GAP_TOL max(1, |upper|), allowance)
     and the last chunk shrank neither end, so it keeps polishing while the
-    interval still moves. It returns min_h = upper with
-    error_bar = max(upper - lower, 0) + allowance, a bound on
-    |min_h - min h|.
+    interval still moves. It returns the ReferenceInfo of source "oracle",
+    min_h = upper with error_bar = max(upper - lower, 0) + allowance, a
+    bound on |min_h - min h|.
 
     budget caps the total iterations. The stop needs a chunk that moves
     nothing after the interval is small, so a budget of one chunk or less
@@ -225,22 +215,20 @@ def reference_min(problem: CompositeProblem, budget: int = 50_000) -> OracleResu
             upper, upper_allowance, witness = h_x, allowance, x
         allowance = max(lower_allowance, upper_allowance)
         if not moved and upper - lower <= max(ORACLE_GAP_TOL * max(1.0, abs(upper)), allowance):
-            return OracleResult(upper, max(upper - lower, 0.0) + allowance, witness, lower, upper, allowance,
-                                used, certificate, budget)
+            return ReferenceInfo(upper, max(upper - lower, 0.0) + allowance, witness, "oracle", upper, lower, upper,
+                                 used, certificate, allowance)
     raise OracleUnreliable(f"{problem.name}: no certificate within oracle_budget = {budget} "
                            f"(interval [{lower:.17g}, {upper:.17g}])", gap=upper - lower)
 
 
-def resolve_reference(problem: CompositeProblem, budget: int = 50_000) -> ReferenceInfo:
+def resolve_reference(problem: CompositeProblem, budget: int = ORACLE_BUDGET) -> ReferenceInfo:
     """Pick the reference minimum: catalog metadata first, oracle second."""
     if problem.known_min is not None:
         return ReferenceInfo(problem.known_min, 0.0, problem.known_argmin, "catalog", problem.known_min,
                              problem.known_min, problem.known_min, 0, "closed form")
     if problem.argmin_nonempty is False:
         return ReferenceInfo(None, 0.0, None, "none", problem.inf_h)
-    oracle = reference_min(problem, budget)
-    return ReferenceInfo(oracle.min_h, oracle.error_bar, oracle.argmin, "oracle", oracle.min_h, oracle.lower,
-                         oracle.upper, oracle.iterations, oracle.certificate)
+    return reference_min(problem, budget)
 
 
 def beta_z_from_trace(trace: SolverTrace, witness: np.ndarray, witness_h: float) -> Optional[float]:
@@ -342,7 +330,7 @@ class RunFacts:
 
 
 def run_facts(trace: SolverTrace, problem: CompositeProblem, reference: ReferenceInfo,
-              liminf_threshold: float = -1e6) -> RunFacts:
+              liminf_threshold: float) -> RunFacts:
     """The facts of one run, from its trace, problem and reference minimum."""
     spec = trace.schedule_spec
     family = FAMILIES[spec["kind"]]
@@ -668,7 +656,7 @@ REFERENCE_FIELDS = ("min_h", "error_bar", "source", "inf_h", "lower", "upper", "
 
 
 def build_report(trace: SolverTrace, problem: CompositeProblem, reference: ReferenceInfo,
-                 run_name: str = "", liminf_threshold: float = -1e6) -> dict:
+                 run_name: str = "", liminf_threshold: float = LIMINF_THRESHOLD) -> dict:
     """Assemble the full JSON-ready report for one run."""
     f = run_facts(trace, problem, reference, liminf_threshold)
     checks = {name: v for name, check in CHECKS if (v := check(f)) is not None}

@@ -18,18 +18,21 @@ MARGIN_B = 52
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
+# a linear axis gets about this many ticks
+LINEAR_TICKS = 6
+
 # TODO: minor tick marks between decades on log axes.
 
 
-def _nice_linear_ticks(lo: float, hi: float, target: int = 6):
+def _nice_linear_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (LINEAR_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= LINEAR_TICKS:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -52,9 +55,8 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def render_line_chart(series, *, loglog: bool = False, title: str = "", xlabel: str = "n",
-                      ylabel: str = "") -> str:
-    """Render labeled (x, y) series to an SVG document string.
+def render_line_chart(series, *, loglog: bool, title: str, ylabel: str) -> str:
+    """Render labeled (x, y) series against n to an SVG document string.
 
     series is an iterable of (label, xs, ys). Non-finite points are
     dropped; in log-log mode non-positive points are dropped too.
@@ -75,10 +77,9 @@ def render_line_chart(series, *, loglog: bool = False, title: str = "", xlabel: 
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="13">'
     )
     body.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    if title:
-        body.append(
-            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>'
-        )
+    body.append(
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>'
+    )
 
     if not cleaned:
         body.append(
@@ -144,13 +145,12 @@ def render_line_chart(series, *, loglog: bool = False, title: str = "", xlabel: 
         f'fill="none" stroke="#333333"/>'
     )
     body.append(
-        f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle">n</text>'
     )
-    if ylabel:
-        yc = MARGIN_T + plot_h / 2
-        body.append(
-            f'<text x="18" y="{yc:.1f}" text-anchor="middle" transform="rotate(-90 18 {yc:.1f})">{ylabel}</text>'
-        )
+    yc = MARGIN_T + plot_h / 2
+    body.append(
+        f'<text x="18" y="{yc:.1f}" text-anchor="middle" transform="rotate(-90 18 {yc:.1f})">{ylabel}</text>'
+    )
 
     for i, (label, xs, ys) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]

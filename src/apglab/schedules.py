@@ -51,10 +51,14 @@ def _number(kind: str, key: str, value) -> float:
     Every number of a spec passes through here. Anything but an int or a
     float (a string, null, a bool, a list) raises ParameterError; the
     family's gate then judges the value, NaN and the infinities included.
+    An int beyond the float range is the infinity of its sign.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{kind} schedule: {key} must be numeric, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require(ok: bool, message: str) -> None:
@@ -278,8 +282,8 @@ class AdmissibilityReport:
     worst_increment: float
 
 
-def check_admissibility(taus: np.ndarray, tol: float = ADMISSIBILITY_TOL) -> AdmissibilityReport:
-    """Verify tau_1 >= 1 and the bracket for every consecutive pair.
+def check_admissibility(taus: np.ndarray) -> AdmissibilityReport:
+    """Verify tau_1 >= 1 and the bracket for every consecutive pair, to ADMISSIBILITY_TOL.
 
     Also measures the two derived inequalities (squared form, increment
     cap) so callers can assert them with the same tolerance.
@@ -302,7 +306,7 @@ def check_admissibility(taus: np.ndarray, tol: float = ADMISSIBILITY_TOL) -> Adm
 
     tau1_deficit = 1.0 - float(taus[0])
     if taus.size == 1:
-        ok = tau1_deficit <= tol
+        ok = tau1_deficit <= ADMISSIBILITY_TOL
         return AdmissibilityReport(
             ok=ok,
             first_violation=None if ok else 0,
@@ -324,15 +328,15 @@ def check_admissibility(taus: np.ndarray, tol: float = ADMISSIBILITY_TOL) -> Adm
 
     first: Optional[int] = None
     reason = ""
-    if tau1_deficit > tol:
+    if tau1_deficit > ADMISSIBILITY_TOL:
         first = 0
         reason = f"tau_1 = {float(taus[0])!r} < 1"
     else:
-        bad = np.flatnonzero((lower > tol) | (upper > tol))
+        bad = np.flatnonzero((lower > ADMISSIBILITY_TOL) | (upper > ADMISSIBILITY_TOL))
         if bad.size:
             k = int(bad[0])
             first = k + 1
-            if lower[k] > tol:
+            if lower[k] > ADMISSIBILITY_TOL:
                 reason = f"tau_{k + 2} = {float(t1[k])!r} < tau_{k + 1} = {float(t0[k])!r}"
             else:
                 reason = (
@@ -352,15 +356,13 @@ def check_admissibility(taus: np.ndarray, tol: float = ADMISSIBILITY_TOL) -> Adm
     )
 
 
-def classical_lower_bound_check(n_max: int, tau1: float = 1.0) -> dict:
-    """Classical-schedule growth facts up to n_max.
+def classical_lower_bound_check(taus: np.ndarray) -> dict:
+    """Classical-schedule growth facts over a prefix tau_1..tau_N.
 
     Returns min slack of tau_n - (n+1)/2, the prefix sup of n/tau_n, and
     the drift of tau_n/n from its limit 1/2 at the last index.
     """
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    taus = prefix({"kind": "classical", "tau1": tau1}, n_max)
+    n_max = taus.size
     n = np.arange(1, n_max + 1, dtype=float)
     min_slack = float(np.min(taus - (n + 1.0) / 2.0))
     sup_n_over_tau = float(np.max(n / taus))
@@ -373,17 +375,14 @@ def classical_lower_bound_check(n_max: int, tau1: float = 1.0) -> dict:
     }
 
 
-def folklore_expansion_check(n_max: int) -> np.ndarray:
-    """Residuals r_n = n(alpha_n - 1 + 3/n) for the classical schedule.
+def folklore_expansion_check(taus: np.ndarray) -> np.ndarray:
+    """Residuals r_n = n(alpha_n - 1 + 3/n) over a classical prefix tau_1..tau_{N+1}, for n = 1..N.
 
     The expansion alpha_n = 1 - 3/n + o(1/n) predicts r_n -> 0; callers
     compare |r| at the end of the prefix against early values.
     """
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    taus = prefix({"kind": "classical"}, n_max + 1)
     a = alphas(taus)
-    n = np.arange(1, n_max + 1, dtype=float)
+    n = np.arange(1, a.size + 1, dtype=float)
     return n * (a - 1.0) + 3.0
 
 

@@ -146,8 +146,7 @@ class SolverOptions:
     """Run-length, recording, stopping, and anchoring knobs.
 
     anchor is a point of dom h used for Lyapunov/Fejer ledgers (normally a
-    known or oracle minimizer); anchor_h is its objective value, computed
-    on demand when omitted. Stops are off by default because several
+    known or oracle minimizer). Stops are off by default because several
     checked properties concern non-convergent runs. record_every thins the
     trace (the first and last iterations and a stop are always kept); the
     diagnostic columns are computed only for recorded rows, a block of rows
@@ -158,7 +157,6 @@ class SolverOptions:
     record_every: int = 1
     x0: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
-    anchor_h: Optional[float] = None
     stop_step_norm: Optional[float] = None
     stop_h_gap: Optional[float] = None
     divergence_threshold: float = 1e150
@@ -218,9 +216,7 @@ def _resolve_anchor(problem: CompositeProblem, options: SolverOptions):
     if options.anchor is None:
         return None, None
     anchor = as_point(options.anchor, problem.dim, "anchor")
-    anchor_h = options.anchor_h
-    if anchor_h is None:
-        anchor_h = evaluate_h(problem, anchor)
+    anchor_h = evaluate_h(problem, anchor)
     if not math.isfinite(anchor_h):
         raise ParameterError("anchor point lies outside dom h")
     return anchor, float(anchor_h)

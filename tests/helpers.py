@@ -88,7 +88,7 @@ def naive_run(problem, algorithm: str, schedule_spec, options) -> dict:
     anchor = None if options.anchor is None else np.asarray(options.anchor, dtype=float)
     anchor_h = None
     if anchor is not None:
-        anchor_h = options.anchor_h if options.anchor_h is not None else evaluate_h(problem, anchor)
+        anchor_h = evaluate_h(problem, anchor)
 
     names = ("n", "tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov", "fejer_dist")
     rows = []

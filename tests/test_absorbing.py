@@ -445,7 +445,7 @@ def test_reference_min_matches_restarted_naive_loop(problem_name, budget):
     oracle = reference_min(problem, budget=budget)
     min_h, witness, iterations = naive_reference_min(problem, budget)
     assert _bits(np.float64(oracle.min_h)) == _bits(np.float64(min_h))
-    assert oracle.argmin.tobytes() == witness.tobytes()
+    assert oracle.witness.tobytes() == witness.tobytes()
     assert oracle.iterations == iterations
 
 

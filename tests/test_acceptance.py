@@ -79,7 +79,7 @@ def test_c01_schedule_admissibility(capsys):
             assert rep.worst_upper <= 1e-12
             assert rep.worst_square <= 1e-12
             assert rep.worst_increment <= 1e-12
-        growth = schedules.classical_lower_bound_check(100_000)
+        growth = schedules.classical_lower_bound_check(schedules.prefix({"kind": "classical"}, 100_000))
         assert growth["min_slack"] >= 0.0
 
 
@@ -93,7 +93,7 @@ def test_c02_attouch_condition_deltas(capsys):
 
 def test_c03_momentum_expansion_residual(capsys):
     with stamped(capsys, 3, "classical alpha_n = 1 - 3/n + o(1/n)"):
-        r = schedules.folklore_expansion_check(100_000)
+        r = schedules.folklore_expansion_check(schedules.prefix({"kind": "classical"}, 100_001))
         assert abs(r[-1]) < 0.01
         assert abs(r[-1]) < abs(r[99])
 

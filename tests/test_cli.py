@@ -107,8 +107,22 @@ QUAD_SPEC = QUAD_RUN["problem"]
     (QUAD_SPEC, {"kind": "classical", "tau1": None}),
     (QUAD_SPEC, {"kind": "custom", "values": 5}),
     (QUAD_SPEC, {"kind": "custom", "values": [1, "x"]}),
+    ({"name": "quadratic", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, None),
+    (dict(QUAD_SPEC, b=[1.0, 1.0, 1.0]), None),
+    (dict(QUAD_SPEC, diag=[0.0, 0.0]), None),
+    (dict(QUAD_SPEC, diag=[[1.0], [1.0, 2.0]]), None),
+    (dict(QUAD_SPEC, g=5), None),
+    (dict(QUAD_SPEC, g={"kind": "box", "lo": 0.0}), None),
+    (dict(QUAD_SPEC, g={"kind": "l2"}), None),
+    (dict(LASSO_SPEC, rows=0), None),
+    ({"dim": 2}, None),
+    (QUAD_SPEC, {"kind": "constant", "tau": 10**400}),
+    (QUAD_SPEC, {"kind": "chambolle_dossal", "rho": 10**400}),
+    (QUAD_SPEC, {"kind": "custom", "values": [1, 10**400]}),
 ], ids=["dim-str", "rows-nan", "diag-str", "seed-null", "weight-str", "condition-nan", "dim-fraction",
-        "box-lengths", "seed-negative", "dim-negative", "rho-str", "tau1-null", "values-number", "values-str"])
+        "box-lengths", "seed-negative", "dim-negative", "rho-str", "tau1-null", "values-number", "values-str",
+        "matrix-not-square", "b-length", "diag-zero", "diag-ragged", "g-number", "box-no-hi", "g-kind",
+        "rows-zero", "problem-no-name", "tau-overflow", "rho-overflow", "values-overflow"])
 def test_run_malformed_spec_value_exits_3(tmp_path, capsys, problem, schedule):
     run = dict(QUAD_RUN, problem=problem, schedule=schedule or QUAD_RUN["schedule"], max_iters=20,
                oracle_budget=100)
@@ -160,21 +174,103 @@ def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
     assert "divergence_xnorm(worst=none, n=none)" in lines[1]
 
 
-@pytest.mark.parametrize("key, value", [
-    ("liminf_threshold", "nan"),
-    ("liminf_threshold", NAN),
-    ("liminf_threshold", True),
-    ("liminf_threshold", "-1000"),
-    ("stop_step_norm", True),
-], ids=["threshold-nan-str", "threshold-nan", "threshold-true", "threshold-str", "stop-true"])
-def test_run_loose_number_exits_2(tmp_path, capsys, key, value):
-    # each of these used to run: float() took the strings and the bools, and
+@pytest.mark.parametrize("key, value, message", [
+    ("liminf_threshold", "nan", "run 'q': liminf_threshold must be a finite number"),
+    ("liminf_threshold", NAN, "run 'q': liminf_threshold must be a finite number"),
+    ("liminf_threshold", True, "run 'q': liminf_threshold must be a finite number"),
+    ("liminf_threshold", "-1000", "run 'q': liminf_threshold must be a finite number"),
+    ("stop_step_norm", True, "run 'q': stop_step_norm must be a finite number"),
+    ("liminf_threshold", 10**400, "run 'q': liminf_threshold must be a finite number"),
+    ("max_iters", 0, "run 'q': max_iters must be an integer >= 1"),
+    ("stop_h_gap", -1.0, "run 'q': stop_h_gap must be positive"),
+    ("shedule", {}, "runs[0] has unknown keys: ['shedule']"),
+    ("name", "a b", "runs[0]: name must match"),
+    ("problem", "quadratic", "run 'q': problem must be an object"),
+    ("schedule", "classical", "run 'q': schedule must be an object when present"),
+    ("algorithm", 1, "run 'q': algorithm must be a string"),
+    ("anchor", "witness", "run 'q': anchor must be 'auto' or 'none'"),
+], ids=["threshold-nan-str", "threshold-nan", "threshold-true", "threshold-str", "stop-true", "threshold-overflow",
+        "max_iters-zero", "stop-negative", "unknown-key", "name-space", "problem-str", "schedule-str",
+        "algorithm-int", "anchor-str"])
+def test_run_loose_number_exits_2(tmp_path, capsys, key, value, message):
+    # the first five used to run: float() took the strings and the bools, and
     # a NaN threshold made running_min fail with "never fell below nan"
     cfg = write_config(tmp_path / "c.json", [dict(QUAD_RUN, **{key: value})])
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: run 'q': {key} must be a finite number") and "Traceback" not in err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    ([QUAD_RUN], "config {path}: top level must be an object"),
+    ({"version": 1, "runs": []}, "config {path}: 'runs' must be a nonempty list"),
+    ({"version": 1, "runs": [QUAD_RUN], "out_dir": ""}, "config {path}: out_dir must be a nonempty string"),
+    ({"version": 1, "runs": [QUAD_RUN, 5]}, "runs[1] must be an object, got int"),
+    ({"version": 1, "runs": [{k: v for k, v in QUAD_RUN.items() if k != "max_iters"}]},
+     "runs[0] is missing required key 'max_iters'"),
+], ids=["top-list", "runs-empty", "out_dir-empty", "run-number", "run-no-max_iters"])
+def test_run_malformed_config_exits_2(tmp_path, capsys, data, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(path=cfg)}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_singular_quadratic_unbounded_below_has_no_reference(tmp_path):
+    # b has a component along the kernel of the matrix, so h falls without bound
+    run = dict(QUAD_RUN, problem={"name": "quadratic", "matrix": [[1, 0], [0, 0]], "b": [1, 1]}, max_iters=50)
+    cfg = write_config(tmp_path / "c.json", [run])
+    cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    reference = json.loads((tmp_path / "out" / "q.report.json").read_text())["reference"]
+    assert reference["source"] == "none" and reference["inf_h"] == "-inf"
+
+
+def test_run_explicit_zero_g_writes_the_bytes_of_an_omitted_one(tmp_path):
+    for out, problem in (("omitted", QUAD_SPEC), ("zero", dict(QUAD_SPEC, g={"kind": "zero"}))):
+        cfg = write_config(tmp_path / f"{out}.json", [dict(QUAD_RUN, problem=problem)])
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / out)]) == 0
+    names = sorted(path.name for path in (tmp_path / "omitted").iterdir())
+    assert len(names) == 3 and sorted(path.name for path in (tmp_path / "zero").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "zero" / name).read_bytes() == (tmp_path / "omitted" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "c.json", [QUAD_RUN])
+    assert cli.main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --jobs must be >= 1, got {jobs}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch, mini_config):
+    # an in-process stand-in for the pool: it records its size and maps serially
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    assert cli.main(["run", str(mini_config), "--jobs", "64", "--out", str(tmp_path / "wide")]) == 0
+    assert sizes == [3]
+    assert cli.main(["run", str(mini_config), "--out", str(tmp_path / "serial")]) == 0
+    names = sorted(path.name for path in (tmp_path / "serial").iterdir())
+    assert len(names) == 9 and sorted(path.name for path in (tmp_path / "wide").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "wide" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
 
 
 def test_run_duplicate_names_exit_2(tmp_path):

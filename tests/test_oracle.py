@@ -121,7 +121,7 @@ _WITNESSES = {}
 
 def _witness(problem, key):
     if key not in _WITNESSES:
-        _WITNESSES[key] = reference_min(problem).argmin
+        _WITNESSES[key] = reference_min(problem).witness
     return _WITNESSES[key]
 
 
@@ -147,11 +147,11 @@ def test_a_perturbed_witness_widens_the_interval(kind):
     problem = _instance(kind, 6, 3)
     rho = quadratic_rho(problem)
     oracle = reference_min(problem)
-    lower, _ = duality_bound(problem, oracle.argmin, rho)
-    width = evaluate_h(problem, oracle.argmin) - lower
+    lower, _ = duality_bound(problem, oracle.witness, rho)
+    width = evaluate_h(problem, oracle.witness) - lower
     rng = np.random.default_rng(0)
     for scale in (1e-6, 1e-3, 1e-1):
-        moved = problem.nonsmooth.prox(oracle.argmin + scale * rng.normal(size=6), problem.gamma)
+        moved = problem.nonsmooth.prox(oracle.witness + scale * rng.normal(size=6), problem.gamma)
         moved_lower, _ = duality_bound(problem, moved, rho)
         h_moved = evaluate_h(problem, moved)
         assert h_moved - moved_lower > width + oracle.allowance

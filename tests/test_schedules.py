@@ -58,14 +58,14 @@ def test_admissibility_residuals_stay_tiny(spec):
 
 
 def test_classical_dominates_linear_growth_exactly():
-    growth = classical_lower_bound_check(100_000)
+    growth = classical_lower_bound_check(prefix({"kind": "classical"}, 100_000))
     assert growth["ok"]
     assert growth["min_slack"] >= 0.0
     assert growth["sup_n_over_tau"] <= 2.0
 
 
 def test_classical_ratio_drift_to_one_half():
-    growth = classical_lower_bound_check(1_000_000)
+    growth = classical_lower_bound_check(prefix({"kind": "classical"}, 1_000_000))
     assert growth["ratio_drift"] == pytest.approx(3.777e-6, rel=1e-3)
 
 
@@ -95,7 +95,7 @@ def test_attouch_delta_bound_for_aujol_family():
 
 
 def test_folklore_expansion_settles():
-    r = folklore_expansion_check(100_000)
+    r = folklore_expansion_check(prefix({"kind": "classical"}, 100_001))
     assert abs(r[99]) == pytest.approx(1.098405e-01, rel=1e-4)
     assert abs(r[-1]) == pytest.approx(2.170734e-04, rel=1e-4)
     assert abs(r[-1]) < 0.01
