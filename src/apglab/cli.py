@@ -1,5 +1,10 @@
 """Command line harness: batch runs, schedule tables, plot data.
 
+``apg run`` plans every run in the parent process: it parses the config,
+builds each distinct problem once, checks every run, and resolves each
+problem's reference minimum. Only then does it hand ready batches to the
+workers, which solve and write them (``_execute_run``).
+
 Exit codes: 0 all checks pass (or not applicable), 1 some check failed
 or was inconclusive, 2 config/file problems, 3 invalid schedule or
 problem parameters, 4 no certified reference minimum within oracle_budget.
@@ -84,11 +89,6 @@ def _problem_key(run: RunSpec) -> tuple:
     return json.dumps(run.problem, sort_keys=True), run.oracle_budget
 
 
-def _resolve_run_reference(run: RunSpec) -> ReferenceInfo:
-    """Worker for one distinct problem: its reference minimum."""
-    return resolve_reference(build_problem(run.problem), budget=run.oracle_budget)
-
-
 def _failure(name: str, verdict: dict) -> str:
     """check(worst=..., n=...) for the CLI's FAIL line, from the report's verdict."""
     worst, at = verdict["worst_residual"], verdict["location_n"]
@@ -98,16 +98,14 @@ def _failure(name: str, verdict: dict) -> str:
 def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
     """Worker for one batch of runs sharing a problem: solve, write trace CSVs + report JSONs.
 
-    The runs advance in lockstep (solvers.run_batch); each run's files are
-    written, and its trace dropped, as soon as it ends. Returns one result
-    per run, in the batch's order.
+    The parent has gated each run's schedule and set its anchor, so the
+    runs go to solvers.run_batch as they are and advance in lockstep; each
+    run's files are written, and its trace dropped, as soon as it ends.
+    Returns one result per run, in the batch's order.
     """
     problem = build_problem(runs[0].problem)
-    batch = [(run.algorithm, run.schedule,
-              dataclasses.replace(run.options, anchor=reference.witness) if run.anchor == "auto" else run.options)
-             for run in runs]
     results = [None] * len(runs)
-    for i, trace in run_batch(problem, batch):
+    for i, trace in run_batch(problem, [(run.algorithm, run.schedule, run.options) for run in runs]):
         run = runs[i]
         write_trace_csv(trace, os.path.join(out_dir, f"{run.name}.csv"))
         report = build_report(trace, problem, reference, run_name=run.name,
@@ -126,18 +124,17 @@ def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
     return results
 
 
-def _run_all(mapper, runs: list, out_dir: str, jobs: int) -> list:
-    """Resolve one reference per distinct problem, then execute every run.
+def _run_all(mapper, runs: list, references: dict, out_dir: str, jobs: int) -> list:
+    """Execute every run, given the reference of each problem key.
 
-    mapper is the builtin map or a process pool's map of jobs workers; with
-    a pool, the reference solves of distinct problems run side by side.
-    The runs of each problem are dealt round-robin into min(jobs, count)
-    batches, one task each. Results come back in config order.
+    mapper is the builtin map or a process pool's map of jobs workers; its
+    one stage is _execute_run. The runs of each problem are dealt
+    round-robin into min(jobs, count) batches, one task each. Results come
+    back in config order.
     """
     groups = {}
     for index, run in enumerate(runs):
         groups.setdefault(_problem_key(run), []).append(index)
-    references = dict(zip(groups, mapper(_resolve_run_reference, [runs[g[0]] for g in groups.values()])))
     batches = []
     for key, members in groups.items():
         count = min(jobs, len(members))
@@ -161,8 +158,8 @@ def cmd_run(args) -> int:
         return _fail(str(exc), EXIT_CONFIG)
 
     # every run is checked before any is solved; runs that share a problem
-    # build it once, and each run's schedule is gated here only: the workers
-    # take its canonical spec
+    # build it once and resolve its reference once, and each run's schedule
+    # is gated here only: the workers take its canonical spec and options
     problems = {}
     for run in cfg.runs:
         try:
@@ -179,11 +176,16 @@ def cmd_run(args) -> int:
     # no more workers than runs: a pool forks all of its workers at once
     workers = min(args.jobs, len(cfg.runs))
     try:
+        references = {(spec, budget): resolve_reference(problem, budget=budget)
+                      for (spec, budget), problem in problems.items()}
+        for run in cfg.runs:
+            if run.anchor == "auto":
+                run.options = dataclasses.replace(run.options, anchor=references[_problem_key(run)].witness)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = _run_all(pool.map, cfg.runs, out_dir, workers)
+                results = _run_all(pool.map, cfg.runs, references, out_dir, workers)
         else:
-            results = _run_all(map, cfg.runs, out_dir, 1)
+            results = _run_all(map, cfg.runs, references, out_dir, 1)
     except OracleUnreliable as exc:
         return _fail(str(exc), EXIT_ORACLE)
     except (ParameterError, AdmissibilityError) as exc:

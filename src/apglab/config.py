@@ -5,37 +5,36 @@ A config is JSON with a versioned schema: {"version": 1, "out_dir": ...,
 optional schedule spec, and run-length/instrumentation knobs. Structural
 problems raise ConfigError; parameter-level problems (bad schedule
 values, unknown problem names) surface later when the specs are built.
-A knob a run leaves out takes its default from where it is used:
-SolverOptions, or the oracle and report defaults of the diagnostics.
+A knob a run leaves out, or sets to null, takes its default from where
+it is used: SolverOptions, or the oracle and report defaults of the
+diagnostics. The solver knobs are judged by solvers.check_options.
 """
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import LIMINF_THRESHOLD, ORACLE_BUDGET
-from .errors import ConfigError
-from .solvers import SolverOptions
+from .errors import ConfigError, ParameterError
+from .solvers import SolverOptions, check_options, finite_number, positive_int
 
 CONFIG_VERSION = 1
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+
+# the run keys that fill SolverOptions fields of the same name
+_OPTION_KEYS = ("max_iters", "record_every", "stop_step_norm", "stop_h_gap", "divergence_threshold")
 
 _RUN_KEYS = {
     "name",
     "problem",
     "algorithm",
     "schedule",
-    "max_iters",
-    "record_every",
     "anchor",
     "oracle_budget",
     "liminf_threshold",
-    "stop_step_norm",
-    "stop_h_gap",
-    "divergence_threshold",
+    *_OPTION_KEYS,
 }
 
 
@@ -59,40 +58,13 @@ class SuiteConfig:
     runs: list = field(default_factory=list)
 
 
-def _require_int(run_name: str, key: str, value, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"run {run_name!r}: {key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _finite(run_name: str, key: str, value) -> float:
-    """A JSON int or float that is finite as a float; a bool, a string or null is not a number."""
-    v = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            v = float(value)
-        except OverflowError:  # an int beyond the float range
-            v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(f"run {run_name!r}: {key} must be a finite number, got {value!r}")
-    return v
-
-
-def _optional_positive(run_name: str, key: str, value) -> Optional[float]:
-    if value is None:
-        return None
-    v = _finite(run_name, key, value)
-    if not v > 0.0:
-        raise ConfigError(f"run {run_name!r}: {key} must be positive, got {value!r}")
-    return v
-
-
 def _parse_run(raw, position: int) -> RunSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"runs[{position}] must be an object, got {type(raw).__name__}")
     unknown = set(raw) - _RUN_KEYS
     if unknown:
         raise ConfigError(f"runs[{position}] has unknown keys: {sorted(unknown)}")
+    raw = {key: value for key, value in raw.items() if value is not None}  # null means omitted
     for key in ("name", "problem", "algorithm", "max_iters"):
         if key not in raw:
             raise ConfigError(f"runs[{position}] is missing required key {key!r}")
@@ -103,28 +75,28 @@ def _parse_run(raw, position: int) -> RunSpec:
         )
     if not isinstance(raw["problem"], dict):
         raise ConfigError(f"run {name!r}: problem must be an object")
-    if raw.get("schedule") is not None and not isinstance(raw["schedule"], dict):
+    if not isinstance(raw.get("schedule", {}), dict):
         raise ConfigError(f"run {name!r}: schedule must be an object when present")
     if not isinstance(raw["algorithm"], str):
         raise ConfigError(f"run {name!r}: algorithm must be a string")
     anchor = raw.get("anchor", "auto")
     if anchor not in ("auto", "none"):
         raise ConfigError(f"run {name!r}: anchor must be 'auto' or 'none', got {anchor!r}")
-    options = {key: _require_int(name, key, raw[key], 1) for key in ("max_iters", "record_every") if key in raw}
-    for key in ("stop_step_norm", "stop_h_gap", "divergence_threshold"):
-        value = _optional_positive(name, key, raw.get(key))
-        if value is not None:  # null is the default, as is a missing key
-            options[key] = value
-    return RunSpec(
-        name=name,
-        problem=raw["problem"],
-        algorithm=raw["algorithm"],
-        schedule=raw.get("schedule"),
-        options=SolverOptions(**options),
-        anchor=anchor,
-        oracle_budget=_require_int(name, "oracle_budget", raw.get("oracle_budget", ORACLE_BUDGET), 1),
-        liminf_threshold=_finite(name, "liminf_threshold", raw.get("liminf_threshold", LIMINF_THRESHOLD)),
-    )
+    try:
+        options = SolverOptions(**{key: raw[key] for key in _OPTION_KEYS if key in raw})
+        check_options(options)
+        return RunSpec(
+            name=name,
+            problem=raw["problem"],
+            algorithm=raw["algorithm"],
+            schedule=raw.get("schedule"),
+            options=options,
+            anchor=anchor,
+            oracle_budget=positive_int("oracle_budget", raw.get("oracle_budget", ORACLE_BUDGET)),
+            liminf_threshold=finite_number("liminf_threshold", raw.get("liminf_threshold", LIMINF_THRESHOLD)),
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"run {name!r}: {exc}") from None
 
 
 def parse_config(path) -> SuiteConfig:

@@ -305,19 +305,6 @@ def check_admissibility(taus: np.ndarray) -> AdmissibilityReport:
         )
 
     tau1_deficit = 1.0 - float(taus[0])
-    if taus.size == 1:
-        ok = tau1_deficit <= ADMISSIBILITY_TOL
-        return AdmissibilityReport(
-            ok=ok,
-            first_violation=None if ok else 0,
-            reason="" if ok else f"tau_1 = {float(taus[0])!r} < 1",
-            tau1_deficit=tau1_deficit,
-            worst_lower=-math.inf,
-            worst_upper=-math.inf,
-            worst_square=-math.inf,
-            worst_increment=-math.inf,
-        )
-
     t0 = taus[:-1]
     t1 = taus[1:]
     diff = t1 - t0
@@ -349,10 +336,11 @@ def check_admissibility(taus: np.ndarray) -> AdmissibilityReport:
         first_violation=first,
         reason=reason,
         tau1_deficit=tau1_deficit,
-        worst_lower=float(np.max(lower)),
-        worst_upper=float(np.max(upper)),
-        worst_square=float(np.max(square)),
-        worst_increment=float(np.max(increment)),
+        # a one-value prefix has no pairs: its worst residuals are -inf
+        worst_lower=float(np.max(lower, initial=-math.inf)),
+        worst_upper=float(np.max(upper, initial=-math.inf)),
+        worst_square=float(np.max(square, initial=-math.inf)),
+        worst_increment=float(np.max(increment, initial=-math.inf)),
     )
 
 
@@ -397,20 +385,8 @@ def attouch_pair_deltas(taus: np.ndarray) -> np.ndarray:
     return (t1 - t0) * (t1 + t0) / t1
 
 
-def attouch_condition_delta(taus: np.ndarray) -> float:
-    """Smallest delta with tau_{k+1}^2 - tau_k^2 <= delta * tau_{k+1} over a prefix."""
-    deltas = attouch_pair_deltas(taus)
-    return float(np.max(deltas)) if deltas.size else 0.0
-
-
 def blowsup_pair_terms(taus: np.ndarray) -> np.ndarray:
     """1 - tau_k^2 / tau_{k+1}^2 for each consecutive pair of a prefix."""
     taus = np.asarray(taus, dtype=float)
     t0, t1 = taus[:-1], taus[1:]
     return 1.0 - (t0 * t0) / (t1 * t1)
-
-
-def blowsup_partial_sums(taus: np.ndarray) -> float:
-    """Partial sum of 1 - tau_k^2 / tau_{k+1}^2 over the prefix."""
-    return float(np.sum(blowsup_pair_terms(taus)))
-

@@ -96,6 +96,7 @@ k live runs hold the rows they have written, not k preallocated tables.
 import io
 import math
 import mmap
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -222,6 +223,40 @@ def _resolve_anchor(problem: CompositeProblem, options: SolverOptions):
     return anchor, float(anchor_h)
 
 
+def positive_int(key: str, value) -> int:
+    """value when it is an integer >= 1; a bool is not an integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ParameterError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def finite_number(key: str, value) -> float:
+    """value as a float when it is a real number that is finite as a float; a bool is not a number."""
+    v = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+    if not math.isfinite(v):
+        raise ParameterError(f"{key} must be a finite number, got {value!r}")
+    return v
+
+
+def check_options(options: SolverOptions) -> None:
+    """Judge every number of a run's options: ParameterError names the first bad one.
+
+    max_iters and record_every are integers >= 1; the stops are None or
+    finite and positive; divergence_threshold is finite and positive.
+    """
+    for key in ("max_iters", "record_every"):
+        positive_int(key, getattr(options, key))
+    for key in ("stop_step_norm", "stop_h_gap", "divergence_threshold"):
+        value = getattr(options, key)
+        if (value is not None or key == "divergence_threshold") and not finite_number(key, value) > 0.0:
+            raise ParameterError(f"{key} must be positive, got {value!r}")
+
+
 def check_run(problem: CompositeProblem, algorithm: str, schedule: Optional[dict],
               options: SolverOptions) -> Schedule:
     """Check one run's arguments before anything is solved; return the schedule it follows.
@@ -237,10 +272,7 @@ def check_run(problem: CompositeProblem, algorithm: str, schedule: Optional[dict
     sched = Schedule(schedule)
     if algorithm == "ista" and sched.spec != ISTA_SCHEDULE:
         raise ParameterError(f"ista requires the constant schedule tau=1, got {sched.spec}")
-    if options.max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {options.max_iters}")
-    if options.record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {options.record_every}")
+    check_options(options)
     if options.stop_h_gap is not None and problem.known_min is None:
         raise ParameterError("stop_h_gap requires a problem with known_min set")
     if sched.kind == "custom" and len(sched.spec["values"]) <= options.max_iters:

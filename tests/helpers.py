@@ -62,6 +62,21 @@ def classical_taus(count: int, tau1: float = 1.0) -> np.ndarray:
     return out
 
 
+def attouch_condition_delta(taus: np.ndarray) -> float:
+    """Smallest delta with tau_{k+1}^2 - tau_k^2 <= delta * tau_{k+1} over a prefix."""
+    from apglab.schedules import attouch_pair_deltas
+
+    deltas = attouch_pair_deltas(taus)
+    return float(np.max(deltas)) if deltas.size else 0.0
+
+
+def blowsup_partial_sums(taus: np.ndarray) -> float:
+    """Partial sum of 1 - tau_k^2 / tau_{k+1}^2 over the prefix."""
+    from apglab.schedules import blowsup_pair_terms
+
+    return float(np.sum(blowsup_pair_terms(taus)))
+
+
 def fixed_point_residual(problem, x) -> float:
     """Distance ||T(x) - x||, zero exactly at minimizers of h."""
     from apglab.problem import as_point, forward_backward_step, vector_norm

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from apglab import cli, diagnostics, schedules
+from helpers import attouch_condition_delta
 
 SUITE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_suite.json"
 
@@ -86,9 +87,9 @@ def test_c01_schedule_admissibility(capsys):
 def test_c02_attouch_condition_deltas(capsys):
     with stamped(capsys, 2, "attouch/aujol prefix deltas under analytic caps"):
         att = schedules.prefix({"kind": "attouch_shifted", "rho": 2.0}, 100_000)
-        assert schedules.attouch_condition_delta(att) <= (1.0 + math.sqrt(5.0)) / 4.0 + 1e-12
+        assert attouch_condition_delta(att) <= (1.0 + math.sqrt(5.0)) / 4.0 + 1e-12
         auj = schedules.prefix({"kind": "aujol_dossal", "a": 5.0, "d": 0.5}, 100_000)
-        assert schedules.attouch_condition_delta(auj) <= 1.0 / math.sqrt(5.0) + 1e-12
+        assert attouch_condition_delta(auj) <= 1.0 / math.sqrt(5.0) + 1e-12
 
 
 def test_c03_momentum_expansion_residual(capsys):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -228,6 +229,19 @@ def test_run_singular_quadratic_unbounded_below_has_no_reference(tmp_path):
     assert reference["source"] == "none" and reference["inf_h"] == "-inf"
 
 
+@pytest.mark.parametrize("key", ["schedule", "record_every", "anchor", "oracle_budget", "liminf_threshold",
+                                 "stop_step_norm", "stop_h_gap", "divergence_threshold"])
+def test_run_null_key_writes_the_bytes_of_an_omitted_one(tmp_path, key):
+    omitted = {k: v for k, v in QUAD_RUN.items() if k != key}
+    for out, run in (("omitted", omitted), ("null", dict(omitted, **{key: None}))):
+        cfg = write_config(tmp_path / f"{out}.json", [run])
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / out)]) == 0
+    names = sorted(path.name for path in (tmp_path / "omitted").iterdir())
+    assert len(names) == 3 and sorted(path.name for path in (tmp_path / "null").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "omitted" / name).read_bytes(), name
+
+
 def test_run_explicit_zero_g_writes_the_bytes_of_an_omitted_one(tmp_path):
     for out, problem in (("omitted", QUAD_SPEC), ("zero", dict(QUAD_SPEC, g={"kind": "zero"}))):
         cfg = write_config(tmp_path / f"{out}.json", [dict(QUAD_RUN, problem=problem)])
@@ -359,8 +373,8 @@ def test_runs_sharing_a_problem_write_the_same_bytes_batched_or_alone(tmp_path, 
 
 
 def test_run_builds_each_distinct_problem_once_per_stage(tmp_path, monkeypatch):
-    # validation, the reference solve and the batch each build a problem
-    # once, however many runs share it
+    # the parent's plan (checks and reference solve) and the batch each build
+    # a problem once, however many runs share it
     calls = []
     build = cli.build_problem
 
@@ -372,12 +386,50 @@ def test_run_builds_each_distinct_problem_once_per_stage(tmp_path, monkeypatch):
     runs = [dict(LASSO_RUN, name=f"l{i}") for i in range(5)] + [dict(QUAD_RUN, name=f"q{i}") for i in range(2)]
     cfg = write_config(tmp_path / "c.json", runs)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 6 and len(set(calls)) == 2
+    assert len(calls) == 4 and len(set(calls)) == 2
+
+
+class RecordingPool:
+    """An in-process stand-in for the pool: it logs its construction and every task, and runs them serially."""
+
+    log = []
+
+    def __init__(self, max_workers):
+        self.log.append("pool")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        tasks = list(zip(*iterables))
+        self.log.extend(fn for _ in tasks)
+        return [fn(*task) for task in tasks]
+
+
+def test_run_pool_tasks_are_all_execute_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "log", [])
+    runs = [dict(LASSO_RUN, name=f"l{i}") for i in range(5)] + [dict(QUAD_RUN, name=f"q{i}") for i in range(2)]
+    cfg = write_config(tmp_path / "c.json", runs)
+    assert cli.main(["run", str(cfg), "--jobs", "2", "--out", str(tmp_path / "out")]) == 0
+    # two batches per problem, and no task solves a reference
+    assert RecordingPool.log == ["pool"] + [cli._execute_run] * 4
+
+
+def test_run_unreliable_oracle_exits_4_before_the_pool_starts(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "log", [])
+    cfg = write_config(tmp_path / "c.json", [dict(LASSO_RUN, name=f"u{i}", oracle_budget=1) for i in range(2)])
+    assert cli.main(["run", str(cfg), "--jobs", "2", "--out", str(tmp_path / "out")]) == 4
+    assert RecordingPool.log == []
 
 
 def test_parallel_unreliable_oracle_exits_4(tmp_path, capsys):
-    # a one-iteration oracle certifies nothing; the error reaches the parent
-    # through the process pool
+    # a one-iteration oracle certifies nothing; the parent solves every
+    # reference before a pool starts, so --jobs 2 exits as a serial run does
     runs = [dict(LASSO_RUN, name=f"u{i}", problem={"name": "lasso", "dim": 6, "seed": 20 + i},
                  oracle_budget=1) for i in range(2)]
     cfg = write_config(tmp_path / "c.json", runs)
@@ -468,6 +520,39 @@ def test_schedule_chambolle_alpha_column(capsys):
 def test_schedule_single_row_table(capsys):
     assert cli.main(["schedule", "constant", "--tau", "1.5", "--n", "1"]) == 0
     assert "tau sup bound: 1.5" in capsys.readouterr().out
+
+
+# exit code, sha256 prefix of stdout, and stderr of `apg schedule`: one-row
+# and long tables, every family, and each way a custom list passes or fails
+# check_admissibility
+SCHEDULE_GOLDEN = [
+    ("classical --n 1", 0, "ed6481080314d28c", ""),
+    ("classical --n 2", 0, "b14f62b8e6138fbd", ""),
+    ("classical --n 1000", 0, "dfaabae0a2e7af75", ""),
+    ("classical --tau1 2 --n 5", 0, "5f611bac679f146d", ""),
+    ("constant --tau 1.5 --n 5", 0, "3989b31f8caa5d04", ""),
+    ("constant --n 1000", 0, "2d75e62aa4b3c783", ""),
+    ("chambolle_dossal --rho 3 --n 1000", 0, "27dfa6849f89dada", ""),
+    ("aujol_dossal --a 5 --d 0.5 --n 1000", 0, "05c0b20f0c0cf79f", ""),
+    ("attouch_shifted --rho 2 --n 5", 0, "d5cb30058cf2b15b", ""),
+    ("custom --values 1,1.5,2,2.5 --n 3", 0, "4e4967fc07c6ac25", ""),
+    ("custom --values 1,1.5,2 --n 3", 0, "accff7c7afe2f0ba", ""),
+    ("custom --values 1,3 --n 2", 3, "e3b0c44298fc1c14",
+     "error: custom schedule inadmissible at index 1: tau_2 = 3.0 exceeds the bracket bound 1.618033988749895\n"),
+    ("custom --values 0.5,1 --n 2", 3, "e3b0c44298fc1c14",
+     "error: custom schedule inadmissible at index 0: tau_1 = 0.5 < 1\n"),
+    ("custom --values 1 --n 1", 0, "6b6c86f6088c09d9", ""),
+    ("custom --values 2,1.5 --n 2", 3, "e3b0c44298fc1c14",
+     "error: custom schedule inadmissible at index 1: tau_2 = 1.5 < tau_1 = 2.0\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest, err", SCHEDULE_GOLDEN, ids=[row[0] for row in SCHEDULE_GOLDEN])
+def test_schedule_output_is_golden(capsys, args, code, digest, err):
+    assert cli.main(["schedule"] + args.split()) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == digest
+    assert captured.err == err
 
 
 def test_schedule_gate_failures_exit_3(capsys):

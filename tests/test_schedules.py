@@ -11,8 +11,6 @@ from apglab.schedules import (
     MAX_STEP_INCREASE,
     Schedule,
     alphas,
-    attouch_condition_delta,
-    blowsup_partial_sums,
     bracket_upper,
     canonical_schedule_spec,
     check_admissibility,
@@ -20,7 +18,7 @@ from apglab.schedules import (
     folklore_expansion_check,
     prefix,
 )
-from helpers import classical_taus
+from helpers import attouch_condition_delta, blowsup_partial_sums, classical_taus
 
 FAMILIES = [
     {"kind": "classical"},

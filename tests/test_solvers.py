@@ -16,7 +16,7 @@ from apglab import (
     write_trace_csv,
 )
 from apglab.schedules import alphas, prefix
-from apglab.solvers import CSV_HEADER
+from apglab.solvers import CSV_HEADER, check_run
 
 
 AFFINE = {"name": "affine-descent"}
@@ -123,6 +123,30 @@ def test_stop_h_gap_needs_known_min():
     lasso = build_problem(LASSO)
     with pytest.raises(ParameterError):
         fista_run(lasso, {"kind": "classical"}, SolverOptions(max_iters=10, stop_h_gap=1e-9))
+
+
+L1_QUAD = {"name": "quadratic", "diag": [1.0, 4.0], "b": [3.0, 3.0], "g": {"kind": "l1", "weight": 0.5}}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("divergence_threshold", -1.0),
+    ("divergence_threshold", 0.0),
+    ("divergence_threshold", math.nan),
+    ("divergence_threshold", math.inf),
+    ("stop_step_norm", math.nan),
+    ("stop_step_norm", -1.0),
+    ("stop_step_norm", True),
+    ("stop_h_gap", -1.0),
+])
+def test_check_run_rejects_out_of_range_thresholds(key, value):
+    # these used to run: a negative divergence_threshold truncated a
+    # convergent run at n = 1, and a NaN or negative stop never fired
+    problem = build_problem(L1_QUAD)
+    options = SolverOptions(max_iters=50, **{key: value})
+    with pytest.raises(ParameterError, match=key):
+        check_run(problem, "fista", None, options)
+    with pytest.raises(ParameterError, match=key):
+        run_algorithm(problem, "fista", None, options)
 
 
 def test_divergence_truncates_before_recording_the_blowup():
