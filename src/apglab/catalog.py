@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, only_keys
 from .problem import CompositeProblem, NonsmoothTerm, QuadraticForm, SmoothTerm, matvec, rowdot
 
 PROBLEM_NAMES = ("quadratic", "lasso", "affine-descent", "unattained")
@@ -244,14 +244,6 @@ def _number(spec: dict, key: str, default=None, *, integer: bool = False, ndims=
     return float(arr) if arr.ndim == 0 else arr.astype(float)
 
 
-def _only(spec: dict, keys) -> None:
-    """Reject the first key of spec, in sorted order, that its builder does not read."""
-    unknown = sorted(set(spec) - set(keys))
-    if unknown:
-        raise ParameterError(f"{spec.get('name', spec.get('kind'))}: unknown key {unknown[0]!r}, "
-                             f"expected one of {sorted(keys)}")
-
-
 def build_nonsmooth(spec: Optional[dict], dim: int) -> NonsmoothTerm:
     """Resolve the ``g`` field of a problem spec in dimension dim."""
     if spec is None:
@@ -260,13 +252,13 @@ def build_nonsmooth(spec: Optional[dict], dim: int) -> NonsmoothTerm:
         raise ParameterError(f"nonsmooth spec must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
     if kind == "zero":
-        _only(spec, ("kind",))
+        only_keys(spec, ("kind",))
         return make_zero()
     if kind == "l1":
-        _only(spec, ("kind", "weight"))
+        only_keys(spec, ("kind", "weight"))
         return make_l1(_number(spec, "weight", 1.0))
     if kind == "box":
-        _only(spec, ("kind", "lo", "hi"))
+        only_keys(spec, ("kind", "lo", "hi"))
         if "lo" not in spec or "hi" not in spec:
             raise ParameterError("box spec needs 'lo' and 'hi'")
         lo, hi = _number(spec, "lo", ndims=(0, 1)), _number(spec, "hi", ndims=(0, 1))
@@ -304,7 +296,7 @@ def _separable_argmin(diag: np.ndarray, b: np.ndarray, g: NonsmoothTerm) -> np.n
 def _quadratic_problem(spec: dict) -> CompositeProblem:
     # the matrix, else its diagonal, else dim (default 1) sets the dimension
     shape_key = next((key for key in ("matrix", "diag") if key in spec), "dim")
-    _only(spec, ("name", "b", "g", "gamma", shape_key))
+    only_keys(spec, ("name", "b", "g", "gamma", shape_key))
     if shape_key == "matrix":
         a = _number(spec, "matrix", ndims=(2,))
     elif shape_key == "diag":
@@ -358,7 +350,7 @@ def _quadratic_problem(spec: dict) -> CompositeProblem:
 
 
 def _lasso_problem(spec: dict) -> CompositeProblem:
-    _only(spec, ("name", "dim", "seed", "rows", "lam_scale", "condition", "gamma"))
+    only_keys(spec, ("name", "dim", "seed", "rows", "lam_scale", "condition", "gamma"))
     if "dim" not in spec:
         raise ParameterError("lasso spec needs 'dim'")
     if "seed" not in spec:
@@ -409,7 +401,7 @@ def build_problem(spec: dict) -> CompositeProblem:
     if name == "lasso":
         return _lasso_problem(spec)
     if name in ONE_D_PROBLEMS:
-        _only(spec, ("name", "g", "gamma"))
+        only_keys(spec, ("name", "g", "gamma"))
         make_smooth, inf_h = ONE_D_PROBLEMS[name]
         smooth = make_smooth()
         return CompositeProblem(

@@ -11,6 +11,7 @@ problem parameters, 4 no certified reference minimum within oracle_budget.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -32,7 +33,7 @@ from .diagnostics import (
     report_to_json,
     resolve_reference,
 )
-from .errors import AdmissibilityError, ConfigError, OracleUnreliable, ParameterError
+from .errors import AdmissibilityError, ConfigError, OracleUnreliable, ParameterError, finite_number
 from .plotting import render_line_chart
 from .schedules import (
     FAMILIES,
@@ -285,10 +286,8 @@ def _reference_for_plot(path: Path, cols: dict, fixed) -> float:
             raise ConfigError(f"{report_path}: not valid JSON: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("reference"), (dict, type(None))):
             raise ConfigError(f"{report_path}: expected a JSON object whose 'reference' is an object")
-        val = (data.get("reference") or {}).get("min_h")
-        # a bool is an int to isinstance, not a reference value
-        if isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val):
-            return float(val)
+        with contextlib.suppress(ParameterError):  # else the trace's own minimum
+            return finite_number("min_h", (data.get("reference") or {}).get("min_h"))
     h = cols["h_xn"]
     if not h.size:
         return math.nan  # no rows, so no gap to take

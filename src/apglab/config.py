@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import LIMINF_THRESHOLD, ORACLE_BUDGET
-from .errors import ConfigError, ParameterError
-from .solvers import SolverOptions, check_options, finite_number, positive_int
+from .errors import ConfigError, ParameterError, finite_number, positive_int
+from .solvers import SolverOptions, check_options
 
 CONFIG_VERSION = 1
 

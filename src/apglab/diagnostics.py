@@ -19,7 +19,7 @@ from .problem import CompositeProblem, NUMERIC_TOL, evaluate_h
 from .schedules import FAMILIES
 # ista_run and mfista_run are not called here, but stay importable under these
 # names: perfbench/tracer.py hooks apglab.diagnostics.ista_run and .mfista_run.
-from .solvers import SolverOptions, SolverTrace, fista_run, ista_run, mfista_run  # noqa: F401
+from .solvers import SolverOptions, SolverTrace, fista_run, ista_run, ledger, mfista_run  # noqa: F401
 
 PASS = "pass"
 FAIL = "fail"
@@ -235,9 +235,9 @@ def beta_z_from_trace(trace: SolverTrace, witness: np.ndarray, witness_h: float)
     """Certificate constant at n=1: tau_1^2 (h(x_1) - h(z)) + ||u_1||^2/(2 gamma)."""
     if trace.x1 is None or trace.n.size == 0 or int(trace.n[0]) != 1:
         return None
-    tau1 = float(trace.tau[0])
-    u1 = tau1 * trace.x1 - (tau1 - 1.0) * trace.x0 - witness
-    return tau1 * tau1 * (trace.h1 - witness_h) + float(u1 @ u1) / (2.0 * trace.gamma)
+    lyap, _ = ledger(trace.gamma, False, witness, witness_h, trace.tau[:1], trace.h1, trace.x0[None], None,
+                     trace.x1[None])
+    return float(lyap[0])
 
 
 class Decades:

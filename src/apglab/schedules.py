@@ -19,13 +19,12 @@ a canonical spec reads a bound straight from its row, for example
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, ParameterError
+from .errors import AdmissibilityError, ParameterError, finite_number, only_keys
 
 # Largest admissible single-step increase tau_{n+1} - tau_n.
 MAX_STEP_INCREASE = (1.0 + math.sqrt(5.0)) / 4.0
@@ -45,22 +44,6 @@ def bracket_upper(tau):
     return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
 
 
-def _number(kind: str, key: str, value) -> float:
-    """One number of a schedule spec as a float.
-
-    Every number of a spec passes through here. Anything but an int or a
-    float (a string, null, a bool, a list) raises ParameterError; the
-    family's gate then judges the value, NaN and the infinities included.
-    An int beyond the float range is the infinity of its sign.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{kind} schedule: {key} must be numeric, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ParameterError(message)
@@ -71,8 +54,8 @@ def _one_parameter(kind: str, key: str, default: Optional[float], ok: Callable, 
 
     def gate(spec: dict) -> dict:
         _require(default is not None or key in spec, f"{kind} schedule needs '{key}'")
-        value = _number(kind, key, spec.get(key, default))
-        _require(math.isfinite(value) and ok(value), message.format(value))
+        value = finite_number(f"{kind} schedule: {key}", spec.get(key, default))
+        _require(ok(value), message.format(value))
         return {key: value}
 
     return gate
@@ -80,9 +63,8 @@ def _one_parameter(kind: str, key: str, default: Optional[float], ok: Callable, 
 
 def _gate_aujol_dossal(spec: dict) -> dict:
     _require("a" in spec and "d" in spec, "aujol_dossal schedule needs 'a' and 'd'")
-    a = _number("aujol_dossal", "a", spec["a"])
-    d = _number("aujol_dossal", "d", spec["d"])
-    _require(math.isfinite(a) and math.isfinite(d), "aujol_dossal parameters must be finite")
+    a = finite_number("aujol_dossal schedule: a", spec["a"])
+    d = finite_number("aujol_dossal schedule: d", spec["d"])
     _require(0.0 <= d <= 1.0, f"aujol_dossal needs d in [0, 1], got {d}")
     if d == 0.0:
         _require(a > 0.0, f"aujol_dossal with d=0 needs a > 0, got a={a}")
@@ -95,8 +77,7 @@ def _gate_aujol_dossal(spec: dict) -> dict:
 def _gate_custom(spec: dict) -> dict:
     raw = spec.get("values")
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0, "custom schedule needs a nonempty 'values' list")
-    values = [_number("custom", "values", v) for v in raw]
-    _require(all(math.isfinite(v) for v in values), "custom schedule values must be finite")
+    values = [finite_number("custom schedule: values", v) for v in raw]
     report = check_admissibility(np.asarray(values))
     if not report.ok:
         raise AdmissibilityError(
@@ -220,9 +201,7 @@ def canonical_schedule_spec(spec: dict) -> dict:
     if kind not in SCHEDULE_KINDS:
         raise ParameterError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
     canonical = {"kind": kind, **FAMILIES[kind].gate(spec)}
-    unknown = sorted(set(spec) - set(canonical))
-    if unknown:
-        raise ParameterError(f"{kind} schedule: unknown key {unknown[0]!r}, expected one of {sorted(canonical)}")
+    only_keys(spec, canonical)
     return CanonicalSpec(canonical)
 
 

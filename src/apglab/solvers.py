@@ -64,7 +64,7 @@ other cells are computed once, as one row of the block diagnostics from
 the inputs of iteration n + 1, and repeat because their inputs do. Each
 remaining recorded row takes them with its own tau and alpha, and its
 ledger is computed a block at a time by the formula of every other row
-(``_ledger``). Traces, CSVs and reports are therefore bit-identical to
+(``ledger``). Traces, CSVs and reports are therefore bit-identical to
 iterating to the end. ``SolverTrace.absorbed_at`` names the first
 iteration of the skipped stretch that ends the run; unless an earlier
 stretch was left again, the run applied T absorbed_at - 1 times.
@@ -96,7 +96,6 @@ k live runs hold the rows they have written, not k preallocated tables.
 import io
 import math
 import mmap
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -105,7 +104,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_number, positive_int
 from .problem import (
     CompositeProblem,
     as_point,
@@ -223,30 +222,10 @@ def _resolve_anchor(problem: CompositeProblem, options: SolverOptions):
     return anchor, float(anchor_h)
 
 
-def positive_int(key: str, value) -> int:
-    """value when it is an integer >= 1; a bool is not an integer."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{key} must be an integer >= 1, got {value!r}")
-    return value
-
-
-def finite_number(key: str, value) -> float:
-    """value as a float when it is a real number that is finite as a float; a bool is not a number."""
-    v = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            v = float(value)
-        except OverflowError:  # an int beyond the float range
-            v = math.inf
-    if not math.isfinite(v):
-        raise ParameterError(f"{key} must be a finite number, got {value!r}")
-    return v
-
-
 def check_options(options: SolverOptions) -> None:
     """Judge every number of a run's options: ParameterError names the first bad one.
 
-    max_iters and record_every are integers >= 1; the stops are None or
+    max_iters and record_every are integers from 1 to 2**53; the stops are None or
     finite and positive; divergence_threshold is finite and positive.
     """
     for key in ("max_iters", "record_every"):
@@ -349,7 +328,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         col_n[cursor:end] = ns
         rows[:, cursor:end] = cells[:, None]
         rows[:2, cursor:end] = taus, alphas
-        rows[-2:, cursor:end] = _ledger(gamma, monotone, anchor, anchor_h, taus, h_x, x[None], t_y[None], x[None])
+        rows[-2:, cursor:end] = ledger(gamma, monotone, anchor, anchor_h, taus, h_x, x[None], t_y[None], x[None])
         cursor = end
 
     x_prev = x0
@@ -535,11 +514,11 @@ def _diagnostic_rows(gamma, monotone, anchor, anchor_h, tau, alpha, h_x, x_norm,
     with np.errstate(invalid="ignore"):
         slack = descent_slack(gamma, h_prev, h_t, x_prev, y, t_y)
     key = np.where(np.isfinite(h_prev) & np.isfinite(h_t), slack, math.nan)
-    lyap, fejer = _ledger(gamma, monotone, anchor, anchor_h, tau, h_x, x_prev, t_y, x)
+    lyap, fejer = ledger(gamma, monotone, anchor, anchor_h, tau, h_x, x_prev, t_y, x)
     return np.stack((tau, alpha, h_x, sigma, vector_norm(step), x_norm, key, lyap, fejer))
 
 
-def _ledger(gamma, monotone, anchor, anchor_h, tau, h_x, x_prev, t_y, x):
+def ledger(gamma, monotone, anchor, anchor_h, tau, h_x, x_prev, t_y, x):
     """The anchored Lyapunov energy E_n and deviation distance of m rows (NaN without an anchor).
 
     tau is a length-m array, h_x one too or a float; x_prev, t_y and x are

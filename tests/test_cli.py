@@ -149,6 +149,24 @@ def test_run_unknown_spec_key_exits_3(tmp_path, capsys, problem, schedule, key):
     assert err.startswith("error: run 'q': ") and f"unknown key {key!r}" in err and "Traceback" not in err
 
 
+NON_FINITE = [math.inf, -math.inf, NAN, 10**400]
+ONE_PARAMETER = [("classical", "tau1"), ("constant", "tau"), ("chambolle_dossal", "rho"), ("attouch_shifted", "rho")]
+
+
+@pytest.mark.parametrize("kind, key", ONE_PARAMETER, ids=[kind for kind, _ in ONE_PARAMETER])
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "10**400"])
+def test_non_finite_schedule_parameter_exits_3_and_says_so(tmp_path, capsys, kind, key, value):
+    # these used to blame the range: "classical schedule needs tau1 >= 1, got inf"
+    message = f"{kind} schedule: {key} must be a finite number, got "
+    cfg = write_config(tmp_path / "c.json", [dict(QUAD_RUN, schedule={"kind": kind, key: value})])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: run 'q': {message}{value!r}")
+    assert cli.main(["schedule", kind, f"--{key}={value}", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    read = math.inf if isinstance(value, int) else value  # argparse reads the 400 digits as inf
+    assert captured.out == "" and captured.err == f"error: {message}{read!r}\n"
+
+
 def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
     # the l1-quadratic scaled by c = 1e5 leaves the iterates as at c = 1 and
     # multiplies every h-gap by c; the key-inequality residual at n = 72
@@ -183,6 +201,10 @@ def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
     ("stop_step_norm", True, "run 'q': stop_step_norm must be a finite number"),
     ("liminf_threshold", 10**400, "run 'q': liminf_threshold must be a finite number"),
     ("max_iters", 0, "run 'q': max_iters must be an integer >= 1"),
+    ("max_iters", 10**400, "run 'q': max_iters must be an integer >= 1"),
+    ("max_iters", 2**53 + 1, "run 'q': max_iters must be an integer >= 1"),
+    ("record_every", 2**53 + 1, "run 'q': record_every must be an integer >= 1"),
+    ("oracle_budget", 10**400, "run 'q': oracle_budget must be an integer >= 1"),
     ("stop_h_gap", -1.0, "run 'q': stop_h_gap must be positive"),
     ("shedule", {}, "runs[0] has unknown keys: ['shedule']"),
     ("name", "a b", "runs[0]: name must match"),
@@ -191,7 +213,8 @@ def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
     ("algorithm", 1, "run 'q': algorithm must be a string"),
     ("anchor", "witness", "run 'q': anchor must be 'auto' or 'none'"),
 ], ids=["threshold-nan-str", "threshold-nan", "threshold-true", "threshold-str", "stop-true", "threshold-overflow",
-        "max_iters-zero", "stop-negative", "unknown-key", "name-space", "problem-str", "schedule-str",
+        "max_iters-zero", "max_iters-overflow", "max_iters-above-2**53", "record_every-above-2**53",
+        "oracle_budget-overflow", "stop-negative", "unknown-key", "name-space", "problem-str", "schedule-str",
         "algorithm-int", "anchor-str"])
 def test_run_loose_number_exits_2(tmp_path, capsys, key, value, message):
     # the first five used to run: float() took the strings and the bools, and
@@ -544,6 +567,7 @@ SCHEDULE_GOLDEN = [
     ("custom --values 1 --n 1", 0, "6b6c86f6088c09d9", ""),
     ("custom --values 2,1.5 --n 2", 3, "e3b0c44298fc1c14",
      "error: custom schedule inadmissible at index 1: tau_2 = 1.5 < tau_1 = 2.0\n"),
+    ("custom --values 1,1.5 --n 3", 3, "e3b0c44298fc1c14", "error: custom schedule has 2 values, table needs 3\n"),
 ]
 
 
@@ -631,16 +655,18 @@ def test_plotdata_bad_sibling_report_exits_2(tmp_path, quad_trace, capsys, repor
 
 
 def test_plotdata_bool_reference_is_not_a_number(tmp_path, quad_trace, capsys):
+    # a bool is an int to isinstance, and 10**400 used to raise OverflowError
     report = quad_trace.with_name("q.report.json")
     data = json.loads(report.read_text())
-    data["reference"]["min_h"] = True
-    report.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert cli.main(["plotdata", str(quad_trace), "--quantity", "h_gap", "--out", str(tmp_path / "p")]) == 0
-    assert "no reference value for q.csv" in capsys.readouterr().err
     h = read_trace_csv(quad_trace)["h_xn"]
-    first = float((tmp_path / "p" / "q.h_gap.dat").read_text().split("\n")[0].split()[1])
-    assert first == h[0] - h.min() != h[0] - 1.0
+    for min_h in (True, 10**400):
+        data["reference"]["min_h"] = min_h
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["plotdata", str(quad_trace), "--quantity", "h_gap", "--out", str(tmp_path / "p")]) == 0
+        assert "no reference value for q.csv" in capsys.readouterr().err
+        first = float((tmp_path / "p" / "q.h_gap.dat").read_text().split("\n")[0].split()[1])
+        assert first == h[0] - h.min() != h[0] - 1.0
 
 
 def test_plotdata_empty_trace_gives_an_empty_dat_left_out_of_the_svg(tmp_path, quad_trace, capsys):
@@ -664,6 +690,10 @@ def test_plotdata_empty_trace_gives_an_empty_dat_left_out_of_the_svg(tmp_path, q
         assert (plots / "q.h_gap.dat").stat().st_size > 0
         svg = (plots / "h_gap.svg").read_text()
         assert "stuck" not in svg and ">q<" in svg
+    # the empty trace alone: nothing to plot
+    assert cli.main(["plotdata", str(empty), "--quantity", "h_gap", "--out", str(tmp_path / "alone")]) == 0
+    assert (tmp_path / "alone" / "stuck.h_gap.dat").read_bytes() == b""
+    assert "no plottable data" in (tmp_path / "alone" / "h_gap.svg").read_text()
 
 
 def test_plotdata_dat_bytes_are_one_repr_per_point(tmp_path):

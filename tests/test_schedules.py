@@ -260,6 +260,13 @@ def test_bracket_sampling_is_always_admissible(values):
     assert report.worst_increment <= MAX_STEP_INCREASE
 
 
+def test_a_non_finite_value_is_the_first_violation():
+    report = check_admissibility(np.array([1.0, math.nan, 2.0]))
+    assert not report.ok and report.first_violation == 1 and report.reason == "tau_2 is not finite"
+    worst = (report.tau1_deficit, report.worst_lower, report.worst_upper, report.worst_square, report.worst_increment)
+    assert worst == (math.inf,) * 5
+
+
 @given(values=admissible_lists(), bump=st.floats(1e-3, 10.0), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_bracket_violations_are_localized(values, bump, data):

@@ -149,6 +149,16 @@ def test_check_run_rejects_out_of_range_thresholds(key, value):
         run_algorithm(problem, "fista", None, options)
 
 
+@pytest.mark.parametrize("key, value", [("max_iters", 10**400), ("max_iters", 2**53 + 1), ("record_every", 2**53 + 1)],
+                         ids=["max_iters-overflow", "max_iters-above-2**53", "record_every-above-2**53"])
+def test_check_run_bounds_counts_at_2_to_the_53(key, value):
+    # iteration numbers travel as float64; a 400-digit max_iters used to
+    # pass here and raise OverflowError when the row buffer was sized
+    options = SolverOptions(**{"max_iters": 50, key: value})
+    with pytest.raises(ParameterError, match=f"{key} must be an integer >= 1"):
+        check_run(build_problem(L1_QUAD), "fista", None, options)
+
+
 def test_divergence_truncates_before_recording_the_blowup():
     p = build_problem(AFFINE)
     trace = fista_run(p, {"kind": "classical"}, SolverOptions(max_iters=10_000,
