@@ -167,7 +167,7 @@ def cmd_run(args) -> int:
             key = _problem_key(run)
             if key not in problems:
                 problems[key] = build_problem(run.problem)
-            run.schedule = check_run(problems[key], run.algorithm, run.schedule, run.options).spec
+            run.schedule = check_run(problems[key], run.algorithm, run.schedule, run.options)
         except (ParameterError, AdmissibilityError) as exc:
             return _fail(f"run {run.name!r}: {exc}", EXIT_PARAMS)
 
@@ -276,7 +276,7 @@ def cmd_schedule(args) -> int:
 
 def _reference_for_plot(path: Path, cols: dict, fixed) -> float:
     if fixed is not None:
-        return float(fixed)
+        return fixed
     report_path = path.with_name(path.stem + ".report.json")
     if report_path.exists():
         try:
@@ -311,6 +311,10 @@ def _plot_values(path: Path, quantity: str, min_h) -> tuple:
 
 
 def cmd_plotdata(args) -> int:
+    try:
+        min_h = None if args.min_h is None else finite_number("--min-h", args.min_h)
+    except ParameterError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
@@ -318,7 +322,7 @@ def cmd_plotdata(args) -> int:
     try:
         for raw in args.traces:
             path = Path(raw)
-            n, vals = _plot_values(path, args.quantity, args.min_h)
+            n, vals = _plot_values(path, args.quantity, min_h)
             keep = np.isfinite(vals)
             dat_path = out_dir / f"{path.stem}.{args.quantity}.dat"
             # an absorbed tail repeats its value: each run of equal bits is formatted once

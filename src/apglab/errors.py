@@ -86,8 +86,12 @@ def positive_int(key: str, value) -> int:
 
 
 def only_keys(spec: dict, keys) -> None:
-    """Reject the first key of spec, in sorted order, that its builder does not read."""
+    """Reject the first key of spec, in sorted order, that its builder does not read.
+
+    The message names the spec by its kind when the builder reads one (a
+    schedule or ``g`` spec), else by its name (a problem spec).
+    """
     unknown = sorted(set(spec) - set(keys))
     if unknown:
-        raise ParameterError(f"{spec.get('name', spec.get('kind'))}: unknown key {unknown[0]!r}, "
+        raise ParameterError(f"{spec.get('kind' if 'kind' in keys else 'name')}: unknown key {unknown[0]!r}, "
                              f"expected one of {sorted(keys)}")

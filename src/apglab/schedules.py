@@ -222,15 +222,14 @@ class Schedule:
 
 
 def prefix(spec: dict, count: int) -> np.ndarray:
-    """First `count` values tau_1..tau_count of a schedule.
+    """First `count` values tau_1..tau_count of a schedule, drawn from a fresh Schedule.
 
-    Draws them from a fresh Schedule, so the values are bit-identical to
-    what a solver run consumes.
+    A solver run reads its taus from here, max_iters + 1 of them.
     """
     if count < 1:
         raise ParameterError(f"prefix length must be >= 1, got {count}")
     sched = Schedule(spec)
-    return np.array([sched.next_tau() for _ in range(count)])
+    return np.fromiter((sched.next_tau() for _ in range(count)), float, count)
 
 
 def alphas(taus: np.ndarray) -> np.ndarray:

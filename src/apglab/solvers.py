@@ -39,39 +39,42 @@ c >= 0 and -0.0 for c < 0, so alpha_m acts only through its sign: adding
 -0.0 keeps a -0.0 entry of x that +0.0 would turn into +0.0. MFISTA's
 ratio, always positive, acts the same way when T y = x bit for bit;
 otherwise it multiplies a nonzero vector, and only tau_{m+1} = tau_m
-makes it repeat. Hence one rule for every schedule: a run absorbs at n
-when x, h and y repeat as above and, for MFISTA, T y_n = x_n or
-tau_{n+1} = tau_n. Constant schedules (ISTA included) meet the second
-condition at every n, so for them the rule is the byte test of x and y
-alone; a momentum MFISTA run whose candidates are rejected does not
-absorb, since y = x + (tau_n/tau_{n+1})(T y - x) moves with tau even where
-it rounds to the same bits for a while.
+makes it repeat.
 
-From then on the loop calls neither T nor h, and the run leaves its
-lockstep batch. It still draws every remaining tau, and checks it: y keeps
-its bits while alpha keeps the sign of alpha_n and, where MFISTA's ratio
-multiplies T y - x != 0, tau stands still. The built-in families keep
-tau >= 1, so alpha >= 0 (rounding gives tau_1 = 1 - 2**-53 for
-chambolle_dossal and attouch_shifted at rho = 2**53); a custom list may dip
-below 1 within the admissibility tolerance. An iteration whose tau breaks
-the condition computes its y_{m+1}, and the run iterates again from
-m + 1, with ``absorbed_at`` reset.
+A run reads its whole sequence tau_1, ..., tau_{N+1} (N = max_iters)
+before its first iteration, as the array :func:`~apglab.schedules.prefix`
+returns, so it knows whether a later tau can move y. That costs 8 bytes
+per iteration, 0.8 MB for 100k iterations, and a run that stops or
+truncates early draws the whole sequence too. Hence one rule for every
+schedule: a run absorbs at n < N when x, h and y repeat as above, no
+alpha_m with m > n has the other sign than alpha_n, and, for MFISTA with
+T y_n != x_n, tau_n = tau_{n+1} = ... = tau_{N+1}. Constant schedules
+(ISTA included) meet the last two conditions at every n, so for them the
+rule is the byte test of x and y alone; a momentum MFISTA run whose
+candidates are rejected does not absorb, since y = x + (tau_n/tau_{n+1})
+(T y - x) moves with tau even where it rounds to the same bits for a
+while. The built-in families keep tau >= 1, so alpha >= 0 (rounding gives
+tau_1 = 1 - 2**-53 for chambolle_dossal and attouch_shifted at
+rho = 2**53); a custom list may dip below 1 within the admissibility
+tolerance, and a run does not absorb before such a dip.
 
-The tau-dependent cells are not copied: tau and alpha change on every
-row, and so do the anchored lyapunov_E and fejer_dist, since
-u = tau x - (tau - 1) x - anchor rounds differently for every tau. The
-other cells are computed once, as one row of the block diagnostics from
-the inputs of iteration n + 1, and repeat because their inputs do. Each
-remaining recorded row takes them with its own tau and alpha, and its
-ledger is computed a block at a time by the formula of every other row
-(``ledger``). Traces, CSVs and reports are therefore bit-identical to
-iterating to the end. ``SolverTrace.absorbed_at`` names the first
-iteration of the skipped stretch that ends the run; unless an earlier
-stretch was left again, the run applied T absorbed_at - 1 times.
+Absorption ends the run: T and h are not called again, and the run leaves
+its lockstep batch. Its remaining recorded rows are written from slices of
+the tau array, a block at a time. The tau-dependent cells are not copied:
+tau and alpha change on every row, and so do the anchored lyapunov_E and
+fejer_dist, since u = tau x - (tau - 1) x - anchor rounds differently for
+every tau. The other cells are computed once, as one row of the block
+diagnostics from the inputs of iteration n + 1, and repeat because their
+inputs do. Each remaining recorded row takes them with its own tau and
+alpha, computed from the array by the operations of the loop, and its
+ledger is computed by the formula of every other row (``ledger``).
+Traces, CSVs and reports are therefore bit-identical to iterating to the
+end. ``SolverTrace.absorbed_at`` is n + 1, the first iteration not
+iterated, so an absorbed run applied T absorbed_at - 1 times.
 
 Lockstep batches. The iteration of a run is one generator, ``_steps``: it
 yields y_n and receives T y_n and h(T y_n), and does everything else
-itself (schedule draws, MFISTA's accept/reject, the divergence, stop and
+itself (tau reads, MFISTA's accept/reject, the divergence, stop and
 absorption tests, the record queue and the block diagnostics).
 :func:`run_batch` drives the runs that share a problem together: while
 two or more are live, each iteration stacks their y_n into one
@@ -114,7 +117,7 @@ from .problem import (
     rowdot,
     vector_norm,
 )
-from .schedules import Schedule
+from .schedules import canonical_schedule_spec, prefix
 
 try:
     # hashlib loads OpenSSL, which costs every process about 3.5 MB of
@@ -170,9 +173,9 @@ class SolverTrace:
     undefined (key_residual while the previous iterate is outside dom h,
     lyapunov/fejer_dist when no anchor is set, fejer_dist for MFISTA whose
     ledger is defined through the candidate points instead). absorbed_at
-    is the first iteration that the run skipped at an exact fixed point and
-    did not leave again, under any schedule (module docstring); None when
-    the run applied T up to its end, stop or truncation.
+    is the first iteration that the run skipped at an exact fixed point,
+    under any schedule (module docstring), so it applied T absorbed_at - 1
+    times; None when the run applied T up to its end, stop or truncation.
     """
 
     algorithm: str
@@ -196,13 +199,16 @@ class SolverTrace:
     h1: float
     final_x: Optional[np.ndarray]
     final_x_prev: Optional[np.ndarray]
-    anchored: bool
     anchor: Optional[np.ndarray]
     anchor_h: Optional[float]
     diverging: bool = False
     truncated_at: Optional[int] = None
     stopped_at: Optional[int] = None
     absorbed_at: Optional[int] = None
+
+    @property
+    def anchored(self) -> bool:
+        return self.anchor is not None
 
     @property
     def displacement(self) -> Optional[np.ndarray]:
@@ -237,8 +243,8 @@ def check_options(options: SolverOptions) -> None:
 
 
 def check_run(problem: CompositeProblem, algorithm: str, schedule: Optional[dict],
-              options: SolverOptions) -> Schedule:
-    """Check one run's arguments before anything is solved; return the schedule it follows.
+              options: SolverOptions) -> dict:
+    """Check one run's arguments before anything is solved; return its canonical schedule spec.
 
     schedule is a spec, or None for the default: classical momentum (ista
     takes only the constant tau = 1). A custom list needs max_iters + 1
@@ -248,18 +254,18 @@ def check_run(problem: CompositeProblem, algorithm: str, schedule: Optional[dict
         raise ParameterError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if schedule is None:
         schedule = ISTA_SCHEDULE if algorithm == "ista" else {"kind": "classical"}
-    sched = Schedule(schedule)
-    if algorithm == "ista" and sched.spec != ISTA_SCHEDULE:
-        raise ParameterError(f"ista requires the constant schedule tau=1, got {sched.spec}")
+    spec = canonical_schedule_spec(schedule)
+    if algorithm == "ista" and spec != ISTA_SCHEDULE:
+        raise ParameterError(f"ista requires the constant schedule tau=1, got {spec}")
     check_options(options)
     if options.stop_h_gap is not None and problem.known_min is None:
         raise ParameterError("stop_h_gap requires a problem with known_min set")
-    if sched.kind == "custom" and len(sched.spec["values"]) <= options.max_iters:
+    if spec["kind"] == "custom" and len(spec["values"]) <= options.max_iters:
         raise ParameterError(
-            f"custom schedule exhausted after {len(sched.spec['values'])} values: max_iters = "
+            f"custom schedule exhausted after {len(spec['values'])} values: max_iters = "
             f"{options.max_iters} needs {options.max_iters + 1} (the last step looks one tau ahead)"
         )
-    return sched
+    return spec
 
 
 def _row_buffer(cap: int):
@@ -276,11 +282,9 @@ def _row_buffer(cap: int):
     return col_n, rows
 
 
-def _extrapolate(monotone: bool, x, step, t_y, tau: float, tau_next: float, alpha: float):
-    """y_{n+1} from x_n, step_n = x_n - x_{n-1}, the candidate T y_n, tau_n, tau_{n+1} and alpha_n."""
-    if monotone:
-        return x + (tau / tau_next) * (t_y - x) + alpha * step
-    return x + alpha * step
+def _last(mask) -> int:
+    """The 1-based position of the last True of a boolean array; 0 when it has none."""
+    return len(mask) - int(mask[::-1].argmax()) if mask.any() else 0
 
 
 def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverOptions):
@@ -289,7 +293,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     It yields each y_n and receives (T y_n, h(T y_n)) for it; its return
     value is the run's SolverTrace. :func:`run_batch` drives it.
     """
-    sched = check_run(problem, algorithm, schedule, options)
+    spec = check_run(problem, algorithm, schedule, options)
     gamma = problem.gamma
     monotone = algorithm == "mfista"
     x0 = (
@@ -298,7 +302,6 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         else as_point(options.x0, problem.dim, "x0").astype(float)
     )
     anchor, anchor_h = _resolve_anchor(problem, options)
-    anchored = anchor is not None
 
     n_iters = options.max_iters
     every = options.record_every
@@ -318,23 +321,18 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         pending.clear()
         rows[:, cursor - len(columns[0]):cursor] = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *columns)
 
-    def write_absorbed(block, cells, h_x, x, t_y):
-        # the rows (n, tau, alpha) of a skipped stretch: every other cell
-        # repeats but the anchored ledger, the last two columns
-        nonlocal cursor
-        ns, taus, alphas = (np.array(col) for col in zip(*block))
-        block.clear()
-        end = cursor + len(ns)
-        col_n[cursor:end] = ns
-        rows[:, cursor:end] = cells[:, None]
-        rows[:2, cursor:end] = taus, alphas
-        rows[-2:, cursor:end] = ledger(gamma, monotone, anchor, anchor_h, taus, h_x, x[None], t_y[None], x[None])
-        cursor = end
+    # tau_1 .. tau_{N+1}; tau_n is tau_at[n - 1], a Python float. The last
+    # iteration m where alpha_{m+1} has the other sign than alpha_m, and the
+    # last with tau_{m+1} != tau_m, decide whether a later tau can move an
+    # absorbed y (module docstring).
+    taus = prefix(spec, n_iters + 1)
+    tau_at = memoryview(taus)
+    last_flip = _last(np.diff((taus[:-1] - 1.0) / taus[1:] < 0.0))
+    last_move = _last(taus[1:] != taus[:-1])
 
     x_prev = x0
     h_prev = evaluate_h(problem, x0)
     y = x0.copy()
-    tau = sched.next_tau()
     x1: Optional[np.ndarray] = None
     h1 = math.nan
     diverging = False
@@ -344,10 +342,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     final_x: Optional[np.ndarray] = None
     final_x_prev: Optional[np.ndarray] = None
 
-    # one iterator of n for the loop and for a skipped stretch, which takes
-    # its iterations from it and may hand the rest back
-    iterations = iter(range(1, n_iters + 1))
-    for n in iterations:
+    for n in range(1, n_iters + 1):
         t_y, h_t = yield y
 
         if monotone and h_prev <= h_t:
@@ -361,7 +356,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
             truncated_at = n
             break
 
-        tau_next = sched.next_tau()
+        tau, tau_next = tau_at[n - 1], tau_at[n]
         alpha = (tau - 1.0) / tau_next
         step = x - x_prev
 
@@ -374,7 +369,10 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         if stop:
             stopped_at = n
 
-        y_next = _extrapolate(monotone, x, step, t_y, tau, tau_next, alpha)
+        if monotone:
+            y_next = x + (tau / tau_next) * (t_y - x) + alpha * step
+        else:
+            y_next = x + alpha * step
 
         if n == 1 or n == n_iters or n % every == 0 or stop:
             pending.append((tau, alpha, h_x, x_norm, h_prev, h_t, x_prev, y, t_y, x))
@@ -384,14 +382,14 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
                 flush()
 
         # Absorption (module docstring): iteration n + 1 takes the inputs of
-        # iteration n, bit for bit, and so does every later one as long as
-        # the tau it draws changes nothing in the update of y. MFISTA's
-        # tau_n/tau_{n+1} multiplies T y - x: unless that is zero, tau must
-        # stand still. The float comparisons come first (T y = x implies
-        # h(T y) = h(x)); on an MFISTA plateau h and x stand still while
-        # tau and y move.
+        # iteration n, bit for bit, and so does every later one, since no
+        # later alpha has the other sign and, where MFISTA's tau_m/tau_{m+1}
+        # multiplies T y - x != 0, tau stands still from tau_n on. The float
+        # comparisons come first (T y = x implies h(T y) = h(x)); on an
+        # MFISTA plateau h and x stand still while tau and y move.
         absorbed = (h_x == h_prev and not stop and n < n_iters
-                    and (not monotone or tau_next == tau or (h_t == h_x and t_y.tobytes() == x.tobytes()))
+                    and last_flip < n
+                    and (not monotone or last_move < n or (h_t == h_x and t_y.tobytes() == x.tobytes()))
                     and y_next.tobytes() == y.tobytes() and x.tobytes() == x_prev.tobytes())
 
         final_x_prev = x_prev
@@ -399,38 +397,30 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         x_prev = x
         h_prev = h_x
         y = y_next
-        tau = tau_next
         if stop:
             break
         if absorbed:
             # Every later iteration takes these inputs again with its own tau
-            # (module docstring): T and h are not called, each tau is still
-            # drawn, and the recorded rows are written a block at a time.
+            # (module docstring): the recorded rows m in (n, N] take the cells
+            # that repeat, computed once from the inputs of iteration n + 1,
+            # and their own tau_m, alpha_m and ledger, a block at a time.
             absorbed_at = n + 1
-            negative = alpha < 0.0
-            gap_moves = monotone and t_y.tobytes() != x.tobytes()
             if pending:
                 flush()
-            # one row of the cells that repeat, from the inputs of iteration n + 1
-            inputs = (tau, alpha, h_x, x_norm, h_x, h_t, x, y, t_y, x)
+            inputs = (tau_next, alpha, h_x, x_norm, h_x, h_t, x, y, t_y, x)
             cells = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *(np.array([v]) for v in inputs))[:, 0]
-            block = []
-            for n in iterations:
-                tau_next = sched.next_tau()
-                alpha = (tau - 1.0) / tau_next
-                if n == n_iters or n % every == 0:
-                    block.append((n, tau, alpha))
-                    if len(block) == _BLOCK:
-                        write_absorbed(block, cells, h_x, x, t_y)
-                if (alpha < 0.0) != negative or (gap_moves and tau_next != tau):
-                    # this iteration moves y; the run iterates again from n + 1
-                    y = _extrapolate(monotone, x, x - x, t_y, tau, tau_next, alpha)
-                    absorbed_at = None
-                    tau = tau_next
-                    break
-                tau = tau_next
-            if block:
-                write_absorbed(block, cells, h_x, x, t_y)
+            tail = np.append(np.arange(n - n % every + every, n_iters, every), n_iters)
+            for lo in range(0, tail.size, _BLOCK):
+                ms = tail[lo:lo + _BLOCK]
+                tau_m = taus[ms - 1]
+                end = cursor + ms.size
+                col_n[cursor:end] = ms
+                rows[:, cursor:end] = cells[:, None]
+                rows[:2, cursor:end] = tau_m, (tau_m - 1.0) / taus[ms]
+                rows[-2:, cursor:end] = ledger(gamma, monotone, anchor, anchor_h, tau_m, h_x,
+                                               x[None], t_y[None], x[None])
+                cursor = end
+            break
 
     if pending:
         flush()
@@ -439,7 +429,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     return SolverTrace(
         algorithm=algorithm,
         problem_name=problem.name,
-        schedule_spec=sched.spec,
+        schedule_spec=spec,
         gamma=gamma,
         max_iters=n_iters,
         record_every=every,
@@ -450,7 +440,6 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         h1=h1,
         final_x=final_x,
         final_x_prev=final_x_prev,
-        anchored=anchored,
         anchor=anchor,
         anchor_h=anchor_h,
         diverging=diverging,

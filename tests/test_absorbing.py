@@ -11,11 +11,11 @@ schedule may fast-forward: a run absorbs once an iteration hands the next
 one its own inputs and the taus still to come cannot move y. The
 adversarial cases are the ones a byte test of x and y alone would get
 wrong: MFISTA's rejected candidates that leave y in place for a while
-under a varying tau, and a custom list that dips below 1 after the fixed
-point. Sparse record cadences, stops and truncations that fall between
-recorded rows, and the reference oracle check the gating; run lengths,
-stops and absorptions around a block boundary check the block
-computation.
+under a varying tau, or across the last move of tau, and a custom list
+that dips below 1 after the fixed point. Sparse record cadences, stops
+and truncations that fall between recorded rows, and the reference oracle
+check the gating; run lengths, stops and absorptions around a block
+boundary check the block computation.
 """
 
 import json
@@ -206,8 +206,8 @@ def test_step_norm_stop_fires_at_first_zero_step_before_absorption():
 
 def test_momentum_runs_absorb_and_custom_lists_still_run_dry(monkeypatch):
     # boxquad reaches its exact fixed point within a few iterations; a
-    # varying schedule then skips T like a constant one, still draws every
-    # tau (a custom list runs dry as before) and writes the naive rows
+    # varying schedule then skips T like a constant one, reads every tau up
+    # front (a custom list one value short is rejected) and writes the naive rows
     problem = build_problem(PROBLEMS["boxquad"][0])
     calls = count_steps(monkeypatch)
     values = [1.0 + 0.5 * k for k in range(30)]
@@ -363,8 +363,8 @@ def test_custom_tau_below_one_after_the_fixed_point_moves_y(monkeypatch):
     # sits at x = -0.0 with y = +0.0 from n = 3 on, since alpha >= 0 turns
     # x + alpha * 0 into +0.0. The list stays admissible within
     # ADMISSIBILITY_TOL while tau_10 = 1 - 4e-13 < 1; that alpha is negative,
-    # y becomes -0.0 and x_11 = 5. The run absorbs at n = 4 and iterates
-    # again from n = 11.
+    # y becomes -0.0 and x_11 = 5. A later tau can move y, so the run may not
+    # absorb at n = 4, and from n = 11 on x swings between 5 and -0.0.
     problem = CompositeProblem(
         smooth=SmoothTerm(value=lambda x: x[0], gradient=lambda x: np.zeros(1), beta=1.0),
         nonsmooth=NonsmoothTerm(value=lambda x: 0.0, prox=lambda v, gamma: np.array(
@@ -377,8 +377,26 @@ def test_custom_tau_below_one_after_the_fixed_point_moves_y(monkeypatch):
     calls = count_steps(monkeypatch)
     trace = run_algorithm(problem, "fista", schedule, options)
     assert trace.h.tolist()[9:11] == [0.0, 5.0]
-    assert len(calls) == 30 - 7
+    assert len(calls) == (30 if trace.absorbed_at is None else trace.absorbed_at - 1)
     assert_matches_naive(trace, naive_run(problem, "fista", schedule, options))
+
+
+def test_mfista_y_kept_by_a_last_tau_move_is_not_absorbed(monkeypatch):
+    # x stays at 0 and every candidate is rejected. y = (tau_n/tau_{n+1}) 3
+    # units rounds to 2 units at n = 1 and again at n = 2, where tau moves
+    # for the last time (1.5 -> 2); at n = 3 the ratio is 1 and y becomes 3
+    # units, whose candidate of 4 units is a fixed point of the iteration
+    # from n = 5 on. Absorbing at n = 2 would copy the rows of a candidate
+    # that is about to change.
+    problem = _subnormal_walk(lambda x: x[0] / UNIT, lambda v: 4 * UNIT)
+    schedule = {"kind": "custom", "values": [1.0, 1.5] + [2.0] * 19}
+    options = SolverOptions(max_iters=20)
+    calls = count_steps(monkeypatch)
+    trace = run_algorithm(problem, "mfista", schedule, options)
+    assert trace.key_residual.tolist()[:6] == [-3.0, -3.0, -3.0, -4.0, -4.0, -4.0]
+    assert trace.absorbed_at == 6
+    assert len(calls) == 5
+    assert_matches_naive(trace, naive_run(problem, "mfista", schedule, options))
 
 
 def _between_rows(n: int, options) -> bool:

@@ -214,13 +214,14 @@ def test_batch_matches_runs_alone_and_naive_loop(name, monkeypatch):
 
     for i, batched in ended:
         algorithm, schedule, options = runs[i]
-        alone = vars(run_algorithm(problem, algorithm, schedule, options))
+        alone_trace = run_algorithm(problem, algorithm, schedule, options)
+        alone = vars(alone_trace)
         ref = naive_run(problem, algorithm, schedule, options)
         for other, label in ((alone, "alone"), (ref, "naive")):
             for field in (*COLUMNS, "x1", "h1", "final_x", "final_x_prev"):
                 _same(getattr(batched, field), other[field], f"run {i} {field} vs {label}")
         for marker in MARKERS:
-            assert getattr(batched, marker) == alone[marker], (i, marker)
+            assert getattr(batched, marker) == getattr(alone_trace, marker), (i, marker)
         assert (batched.stopped_at, batched.truncated_at) == (ref["stopped_at"], ref["truncated_at"])
 
     traces = [trace for _, trace in sorted(ended, key=lambda pair: pair[0])]

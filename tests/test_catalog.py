@@ -100,6 +100,11 @@ def test_builders_reject_keys_they_do_not_read(spec, key):
         build_problem(spec)
 
 
+def test_a_stray_name_in_g_is_reported_under_its_kind():
+    with pytest.raises(ParameterError, match=r"^l1: unknown key 'name'"):
+        build_problem({"name": "quadratic", "g": {"kind": "l1", "weight": 0.5, "name": "w"}})
+
+
 def test_lasso_requires_seed_and_dim():
     with pytest.raises(ParameterError):
         build_problem({"name": "lasso", "dim": 10})

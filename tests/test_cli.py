@@ -149,6 +149,18 @@ def test_run_unknown_spec_key_exits_3(tmp_path, capsys, problem, schedule, key):
     assert err.startswith("error: run 'q': ") and f"unknown key {key!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem, schedule, kind", [
+    (QUAD_SPEC, {"kind": "classical", "name": "fast"}, "classical"),
+    (dict(QUAD_SPEC, g={"kind": "l1", "name": "w"}), None, "l1"),
+], ids=["schedule", "g"])
+def test_run_stray_name_key_is_reported_under_the_kind(tmp_path, capsys, problem, schedule, kind):
+    run = dict(QUAD_RUN, problem=problem, schedule=schedule or QUAD_RUN["schedule"], max_iters=20,
+               oracle_budget=100)
+    cfg = write_config(tmp_path / "c.json", [run])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: run 'q': {kind}: unknown key 'name'")
+
+
 NON_FINITE = [math.inf, -math.inf, NAN, 10**400]
 ONE_PARAMETER = [("classical", "tau1"), ("constant", "tau"), ("chambolle_dossal", "rho"), ("attouch_shifted", "rho")]
 
@@ -667,6 +679,16 @@ def test_plotdata_bool_reference_is_not_a_number(tmp_path, quad_trace, capsys):
         assert "no reference value for q.csv" in capsys.readouterr().err
         first = float((tmp_path / "p" / "q.h_gap.dat").read_text().split("\n")[0].split()[1])
         assert first == h[0] - h.min() != h[0] - 1.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plotdata_non_finite_min_h_exits_2(tmp_path, quad_trace, capsys, value):
+    capsys.readouterr()
+    plots = tmp_path / "p"
+    assert cli.main(["plotdata", str(quad_trace), "--quantity", "h_gap", f"--min-h={value}",
+                     "--out", str(plots)]) == 2
+    assert capsys.readouterr().err == f"error: --min-h must be a finite number, got {value}\n"
+    assert not plots.exists()
 
 
 def test_plotdata_empty_trace_gives_an_empty_dat_left_out_of_the_svg(tmp_path, quad_trace, capsys):

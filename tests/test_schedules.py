@@ -143,6 +143,11 @@ def test_every_family_rejects_keys_it_does_not_read(spec, key):
     assert canonical_schedule_spec(dict(canonical)) == canonical
 
 
+def test_a_stray_name_is_reported_under_the_kind():
+    with pytest.raises(ParameterError, match=r"^classical: unknown key 'name', expected one of \['kind', 'tau1'\]$"):
+        canonical_schedule_spec({"kind": "classical", "name": "fast"})
+
+
 def test_parameter_gates():
     with pytest.raises(ParameterError):
         canonical_schedule_spec({"kind": "constant", "tau": 0.5})
