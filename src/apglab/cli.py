@@ -1,9 +1,10 @@
 """Command line harness: batch runs, schedule tables, plot data.
 
-``apg run`` plans every run in the parent process: it parses the config,
-builds each distinct problem once, checks every run, and resolves each
-problem's reference minimum. Only then does it hand ready batches to the
-workers, which solve and write them (``_execute_run``).
+``apg run`` plans every run in the parent process: one pass over the config
+builds each distinct problem once, checks every run and groups the runs by
+problem; one loop over that plan resolves each reference, sets the "auto"
+anchors and deals each problem's runs round-robin into batches. Only then
+do the workers solve and write them (``_execute_run``).
 
 Exit codes: 0 all checks pass (or not applicable), 1 some check failed
 or was inconclusive, 2 config/file problems, 3 invalid schedule or
@@ -101,11 +102,11 @@ def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
 
     The parent has gated each run's schedule and set its anchor, so the
     runs go to solvers.run_batch as they are and advance in lockstep; each
-    run's files are written, and its trace dropped, as soon as it ends.
-    Returns one result per run, in the batch's order.
+    run's files are written, its result appended and its trace dropped as
+    soon as it ends.
     """
     problem = build_problem(runs[0].problem)
-    results = [None] * len(runs)
+    results = []
     for i, trace in run_batch(problem, [(run.algorithm, run.schedule, run.options) for run in runs]):
         run = runs[i]
         write_trace_csv(trace, os.path.join(out_dir, f"{run.name}.csv"))
@@ -113,39 +114,15 @@ def _execute_run(runs: list, reference: ReferenceInfo, out_dir: str) -> list:
                               liminf_threshold=run.liminf_threshold)
         with open(os.path.join(out_dir, f"{run.name}.report.json"), "w", newline="\n") as fh:
             fh.write(report_to_json(report))
-        results[i] = {
+        results.append({
             "name": run.name,
             "ok": report_ok(report),
             "failed": [_failure(name, report["checks"][name]) for name in failed_checks(report)],
             "records": len(trace.n),
             "diverging": trace.diverging,
-        }
+        })
         # the other runs go on; only they should hold trace rows meanwhile
         del trace, report
-    return results
-
-
-def _run_all(mapper, runs: list, references: dict, out_dir: str, jobs: int) -> list:
-    """Execute every run, given the reference of each problem key.
-
-    mapper is the builtin map or a process pool's map of jobs workers; its
-    one stage is _execute_run. The runs of each problem are dealt
-    round-robin into min(jobs, count) batches, one task each. Results come
-    back in config order.
-    """
-    groups = {}
-    for index, run in enumerate(runs):
-        groups.setdefault(_problem_key(run), []).append(index)
-    batches = []
-    for key, members in groups.items():
-        count = min(jobs, len(members))
-        batches += [(key, members[j::count]) for j in range(count)]
-    outputs = mapper(_execute_run, [[runs[i] for i in members] for _, members in batches],
-                     [references[key] for key, _ in batches], itertools.repeat(out_dir))
-    results = [None] * len(runs)
-    for (_, members), batch_results in zip(batches, outputs):
-        for index, result in zip(members, batch_results):
-            results[index] = result
     return results
 
 
@@ -161,39 +138,47 @@ def cmd_run(args) -> int:
     # every run is checked before any is solved; runs that share a problem
     # build it once and resolve its reference once, and each run's schedule
     # is gated here only: the workers take its canonical spec and options
-    problems = {}
+    plan = {}  # problem key -> (problem, its runs in config order)
     for run in cfg.runs:
         try:
             key = _problem_key(run)
-            if key not in problems:
-                problems[key] = build_problem(run.problem)
-            run.schedule = check_run(problems[key], run.algorithm, run.schedule, run.options)
+            if key not in plan:
+                plan[key] = (build_problem(run.problem), [])
+            problem, members = plan[key]
+            run.schedule = check_run(problem, run.algorithm, run.schedule, run.options)
         except (ParameterError, AdmissibilityError) as exc:
             return _fail(f"run {run.name!r}: {exc}", EXIT_PARAMS)
+        members.append(run)
 
     out_dir = args.out if args.out is not None else cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot create output directory {out_dir}: {exc}", EXIT_CONFIG)
 
     # no more workers than runs: a pool forks all of its workers at once
     workers = min(args.jobs, len(cfg.runs))
+    batches, references = [], []
     try:
-        references = {(spec, budget): resolve_reference(problem, budget=budget)
-                      for (spec, budget), problem in problems.items()}
-        for run in cfg.runs:
-            if run.anchor == "auto":
-                run.options = dataclasses.replace(run.options, anchor=references[_problem_key(run)].witness)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = _run_all(pool.map, cfg.runs, references, out_dir, workers)
-        else:
-            results = _run_all(map, cfg.runs, references, out_dir, 1)
+        for (_, budget), (problem, members) in plan.items():
+            reference = resolve_reference(problem, budget=budget)
+            for run in members:
+                if run.anchor == "auto":
+                    run.options = dataclasses.replace(run.options, anchor=reference.witness)
+            count = min(workers, len(members))
+            batches += [members[j::count] for j in range(count)]
+            references += [reference] * count
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()) as pool:
+            outputs = (pool.map if pool else map)(_execute_run, batches, references, itertools.repeat(out_dir))
+            results = {res["name"]: res for batch in outputs for res in batch}
     except OracleUnreliable as exc:
         return _fail(str(exc), EXIT_ORACLE)
     except (ParameterError, AdmissibilityError) as exc:
         return _fail(str(exc), EXIT_PARAMS)
 
     bad = 0
-    for res in results:
+    for run in cfg.runs:  # parse_config rejects duplicate names
+        res = results[run.name]
         if res["ok"]:
             note = " (diverging, as checked)" if res["diverging"] else ""
             print(f"run {res['name']}: pass ({res['records']} records){note}")
@@ -316,7 +301,17 @@ def cmd_plotdata(args) -> int:
     except ParameterError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stems = {}
+    for raw in args.traces:
+        stem = Path(raw).stem
+        if stem in stems:
+            return _fail(f"{stems[stem]} and {raw} would both write {out_dir / f'{stem}.{args.quantity}.dat'}",
+                         EXIT_CONFIG)
+        stems[stem] = raw
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot create output directory {out_dir}: {exc}", EXIT_CONFIG)
     series = []
     written = []
     try:

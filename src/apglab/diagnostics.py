@@ -456,8 +456,8 @@ def _rate_O_n2(f: RunFacts) -> Verdict:
     """h(x_n) - min_h <= beta_z kappa^2 / n^2 at every recorded n.
 
     Applies to the plain accelerated iteration with an analytically
-    bounded kappa; the margin must clear the oracle error bar or the
-    verdict degrades to inconclusive.
+    bounded kappa; a margin below the oracle error bar degrades the
+    verdict to inconclusive (min h lies within the error bar of min_h).
     """
     t, ref = f.trace, f.reference
     if t.algorithm == "mfista":
@@ -474,7 +474,7 @@ def _rate_O_n2(f: RunFacts) -> Verdict:
     constants = f"beta_z={f.beta_z:.6g} kappa={f.kappa:g}"
     if worst > RATE_BOUND_SLACK:
         return Verdict(FAIL, worst, at, f"bound exceeded; {constants}")
-    if -worst <= ref.error_bar:
+    if -worst < ref.error_bar:
         return Verdict(INCONCLUSIVE, worst, at, "margin within oracle error bar")
     return Verdict(PASS, worst, at, constants)
 

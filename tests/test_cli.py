@@ -205,6 +205,57 @@ def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
     assert "divergence_xnorm(worst=none, n=none)" in lines[1]
 
 
+def test_run_started_at_the_minimizer_meets_the_O_n2_bound_exactly(tmp_path, capsys):
+    # a closed-form minimum has error bar 0, and FISTA started at the
+    # minimizer has gap 0 against a bound beta_z = 0: a margin of exactly
+    # the error bar passes
+    at_min = dict(QUAD_RUN, problem={"name": "quadratic", "diag": [1.0, 4.0], "b": [0.0, 0.0]}, max_iters=50)
+    cfg = write_config(tmp_path / "c.json", [at_min])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("run q: pass (50 records)")
+    report = json.loads((tmp_path / "out" / "q.report.json").read_text())
+    assert (report["checks"]["rate_O_n2"]["status"], report["checks"]["rate_O_n2"]["worst_residual"]) == ("pass", 0.0)
+    # no gap is above the error bar, so no rate is fitted
+    assert (report["rate_fit"]["ok"], report["rate_fit"]["points"]) == (False, 0)
+
+
+# runs that reach each not-applicable branch of a check through `apg run`
+NOT_APPLICABLE_RUNS = [
+    dict(QUAD_RUN, name="fista-1", max_iters=1),
+    dict(QUAD_RUN, name="fista-5", max_iters=5),
+    dict(QUAD_RUN, name="fista-5-diverged", max_iters=5, divergence_threshold=1e-300),
+    dict(QUAD_RUN, name="ista-100-sparse", algorithm="ista", schedule=None, max_iters=100, record_every=10),
+    dict(QUAD_RUN, name="ista-5", algorithm="ista", schedule=None, max_iters=5),
+    dict(QUAD_RUN, name="mfista-unattained", problem={"name": "unattained"}, algorithm="mfista",
+         schedule={"kind": "attouch_shifted", "rho": 2.0}, max_iters=50),
+    dict(QUAD_RUN, name="mfista-const", algorithm="mfista", schedule={"kind": "constant", "tau": 2.0}, max_iters=50),
+    dict(QUAD_RUN, name="mfista-50", algorithm="mfista", schedule={"kind": "attouch_shifted", "rho": 2.0},
+         max_iters=50),
+]
+
+
+@pytest.fixture(scope="module")
+def not_applicable_reports(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("not-applicable")
+    cli.main(["run", str(write_config(out / "c.json", NOT_APPLICABLE_RUNS)), "--out", str(out)])
+    return out
+
+
+@pytest.mark.parametrize("name, check, detail", [
+    ("fista-1", "lyapunov", "energy column incomplete"),
+    ("fista-5", "fejer_distance", "no complete decade recorded"),
+    ("fista-5-diverged", "rate_O_n2", "trace head incomplete"),
+    ("ista-100-sparse", "summability_tails", "partial sums need record_every=1"),
+    ("ista-5", "summability_tails", "no complete decade recorded"),
+    ("mfista-unattained", "rate_tau2_decay", "no reference minimum"),
+    ("mfista-const", "rate_tau2_decay", "schedule bounded; tau_n^2 gap decay is not informative"),
+    ("mfista-50", "rate_tau2_decay", "only 1 complete decades recorded, need 2"),
+])
+def test_run_reaches_each_not_applicable_branch(not_applicable_reports, name, check, detail):
+    verdict = json.loads((not_applicable_reports / f"{name}.report.json").read_text())["checks"][check]
+    assert verdict == {"status": "not-applicable", "detail": detail, "worst_residual": None, "location_n": None}
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("liminf_threshold", "nan", "run 'q': liminf_threshold must be a finite number"),
     ("liminf_threshold", NAN, "run 'q': liminf_threshold must be a finite number"),
@@ -462,6 +513,34 @@ def test_run_unreliable_oracle_exits_4_before_the_pool_starts(tmp_path, monkeypa
     assert RecordingPool.log == []
 
 
+@pytest.mark.parametrize("jobs, deal", [
+    (1, [(["l0", "l1", "l2"], "oracle"), (["q0", "q1"], "catalog")]),
+    (2, [(["l0", "l2"], "oracle"), (["l1"], "oracle"), (["q0"], "catalog"), (["q1"], "catalog")]),
+    (3, [(["l0"], "oracle"), (["l1"], "oracle"), (["l2"], "oracle"), (["q0"], "catalog"), (["q1"], "catalog")]),
+])
+def test_run_deals_each_problem_round_robin_in_config_order(tmp_path, monkeypatch, capsys, jobs, deal):
+    # problems go in the order they first appear; each problem's runs are
+    # dealt round-robin, in config order, into min(jobs, runs) batches
+    tasks = []
+    execute = cli._execute_run
+
+    def logging_execute(runs, reference, out_dir):
+        tasks.append(([run.name for run in runs], reference.source))
+        return execute(runs, reference, out_dir)
+
+    monkeypatch.setattr(cli, "_execute_run", logging_execute)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "log", [])
+    names = ["l0", "q0", "l1", "q1", "l2"]
+    runs = [dict(LASSO_RUN if name[0] == "l" else QUAD_RUN, name=name) for name in names]
+    cfg = write_config(tmp_path / "c.json", runs)
+    assert cli.main(["run", str(cfg), "--jobs", str(jobs), "--out", str(tmp_path / "out")]) == 0
+    assert tasks == deal
+    assert RecordingPool.log == ([] if jobs == 1 else ["pool"] + [logging_execute] * len(deal))
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"run {name}" for name in names]
+
+
 def test_parallel_unreliable_oracle_exits_4(tmp_path, capsys):
     # a one-iteration oracle certifies nothing; the parent solves every
     # reference before a pool starts, so --jobs 2 exits as a serial run does
@@ -688,6 +767,39 @@ def test_plotdata_non_finite_min_h_exits_2(tmp_path, quad_trace, capsys, value):
     assert cli.main(["plotdata", str(quad_trace), "--quantity", "h_gap", f"--min-h={value}",
                      "--out", str(plots)]) == 2
     assert capsys.readouterr().err == f"error: --min-h must be a finite number, got {value}\n"
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "plotdata"])
+def test_output_directory_that_cannot_be_created_exits_2(tmp_path, quad_trace, monkeypatch, capsys, command):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    solves = []
+    monkeypatch.setattr(cli, "resolve_reference", lambda *args, **kwargs: solves.append(args))
+    if command == "run":
+        # every run is checked before the directory is made
+        bad = write_config(tmp_path / "bad.json", [dict(QUAD_RUN, schedule={"kind": "custom", "values": [1.0, 3.0]},
+                                                        max_iters=1)])
+        assert cli.main(["run", str(bad), "--out", str(blocker)]) == 3
+        argv = ["run", str(write_config(tmp_path / "c.json", [dict(LASSO_RUN, name="l")]))]
+    else:
+        argv = ["plotdata", str(quad_trace), "--quantity", "sigma"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot create output directory {blocker}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert solves == []  # and no reference is solved first
+
+
+def test_plotdata_traces_with_one_file_name_exit_2(tmp_path, quad_trace, capsys):
+    other = tmp_path / "b" / "q.csv"
+    other.parent.mkdir()
+    other.write_bytes(quad_trace.read_bytes())
+    capsys.readouterr()
+    plots = tmp_path / "p"
+    assert cli.main(["plotdata", str(quad_trace), str(other), "--quantity", "sigma", "--out", str(plots)]) == 2
+    assert capsys.readouterr().err == f"error: {quad_trace} and {other} would both write {plots / 'q.sigma.dat'}\n"
     assert not plots.exists()
 
 

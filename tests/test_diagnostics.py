@@ -16,6 +16,7 @@ from apglab.diagnostics import (
     FAIL,
     PASS,
     Decades,
+    ReferenceInfo,
     Verdict,
     beta_z_from_trace,
     build_report,
@@ -162,6 +163,18 @@ def test_tau2_decay_gates():
     assert build_report(f, p, ref)["checks"]["rate_tau2_decay"]["status"] == "not-applicable"
 
 
+def test_no_reference_value_on_a_problem_that_may_have_a_minimizer():
+    # min_h and inf_h both None, and a minimizer not ruled out: no catalog
+    # problem gives such a reference, so it is built by hand
+    quad = build_problem(QUAD2)
+    trace = ista_run(quad, SolverOptions(max_iters=1000))
+    report = build_report(trace, quad, ReferenceInfo(min_h=None, error_bar=0.0, witness=None, source="none"))
+    details = {name: v["detail"] for name, v in report["checks"].items() if v["status"] == "not-applicable"}
+    assert details["rate_o_n"] == details["summability_tails"] == "no reference minimum"
+    assert details["running_min"] == "no lower-bound reference"
+    assert report["rate_fit"] is None
+
+
 def sequence_lemma_checks(n_max: int = 100_000) -> dict:
     """Finite-prefix consistency probes of the summability lemma.
 
@@ -255,7 +268,8 @@ def test_failed_checks_reports_the_culprit():
 # --- every report check, one cell past its stated tolerance --------------
 #
 # Each base is a passing run; each case copies its trace, moves one cell just
-# past the check's tolerance and expects the verdict at that cell's n.
+# past the check's tolerance (one pass case: exactly onto it) and expects the
+# verdict at that cell's n.
 
 def _base_runs():
     quad = build_problem(QUAD2)
@@ -352,6 +366,15 @@ def _rate_O_n2(excess):
     return perturb
 
 
+def _rate_O_n2_margin_at_error_bar(t, rep, ref):
+    # the true min h lies within error_bar of min_h, so a margin of exactly
+    # the error bar cannot be a violation
+    n = float(t.n[10])
+    bound = rep["beta_z"] * rep["kappa"] * rep["kappa"] / (n * n)
+    t.h[10] = ref.min_h + bound - 0.5 * RATE_BOUND_SLACK
+    return t.n[10], dataclasses.replace(ref, error_bar=-float((t.h[10] - ref.min_h) - bound))
+
+
 def _sigma_h_shared_limit(t, rep, ref):
     t.sigma[-1] = t.h[-1] + 2.0 * ACCUMULATED_TOL
     return t.n[-1], ref
@@ -415,6 +438,7 @@ FAIL_CASES = [
     pytest.param("fejer_distance", "fista-const", _fejer_distance, "fail", id="fejer_distance"),
     pytest.param("rate_O_n2", "fista", _rate_O_n2(2.0), "fail", id="rate_O_n2"),
     pytest.param("rate_O_n2", "fista", _rate_O_n2(0.5), "inconclusive", id="rate_O_n2-inconclusive"),
+    pytest.param("rate_O_n2", "fista", _rate_O_n2_margin_at_error_bar, "pass", id="rate_O_n2-margin-at-error-bar"),
     pytest.param("sigma_h_shared_limit", "fista-const", _sigma_h_shared_limit, "fail", id="sigma_h_shared_limit"),
     pytest.param("rate_o_n", "fista-const", _rate_o_n(2.0), "fail", id="rate_o_n"),
     pytest.param("rate_o_n", "fista-const", _rate_o_n(0.5), "inconclusive", id="rate_o_n-inconclusive"),
