@@ -3,7 +3,8 @@
 Problems are addressable from run-configuration files by name:
 ``quadratic``, ``lasso``, ``affine-descent``, ``unattained``. Nonsmooth
 terms usable in the ``g`` field of a problem spec: ``zero``, ``l1``,
-``box``.
+``box``. A quadratic smooth term settles its matrix's convexity, beta and
+rho when it is built (:func:`_quadratic_form`).
 
 Randomized instances (the lasso designs) take an explicit seed so that
 every run is reproducible byte for byte. Every term also takes a (k, d)
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, only_keys
-from .problem import CompositeProblem, NonsmoothTerm, QuadraticForm, SmoothTerm, matvec, rowdot
+from .problem import UNIT_ROUNDOFF, CompositeProblem, NonsmoothTerm, QuadraticForm, SmoothTerm, matvec, rowdot
 
 PROBLEM_NAMES = ("quadratic", "lasso", "affine-descent", "unattained")
 NONSMOOTH_NAMES = ("zero", "l1", "box")
@@ -34,14 +35,18 @@ LASSO_CONDITION = 1e2
 # power_iteration's relative tolerance on the Rayleigh quotient, and its iteration cap
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITERS = 200_000
+# How far power iteration's beta may fall below the largest eigenvalue, relative: 1.6e-10
+# at most on about 1,000 lasso designs, a whole eigenvalue gap from a start vector that misses it
+BETA_REL_TOL = 1e-4
 
 
 def power_iteration(matrix: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix.
 
     Deterministic start vector; stops when the Rayleigh quotient is stable
-    to POWER_REL_TOL in relative terms. Kept dependency-free on purpose: the
-    dense eigensolver stays in the test suite as an independent check.
+    to POWER_REL_TOL in relative terms. Its bits fix gamma = 1/beta, and so
+    every output byte; :func:`_quadratic_form` checks it against the dense
+    eigensolver.
     """
     m = np.asarray(matrix, dtype=float)
     d = m.shape[0]
@@ -61,12 +66,36 @@ def power_iteration(matrix: np.ndarray) -> float:
     return abs(lam)
 
 
-def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, beta: float, name: str,
+def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, name: str,
                     rho: Optional[float] = None) -> SmoothTerm:
+    """The smooth term x^T q x / 2 - c^T x + constant, with every spectral fact of q settled here.
+
+    One eigendecomposition of a read-only copy of q, its eigenvalues alone
+    when rho is given: q must have positive curvature, and power iteration's
+    beta, which fixes gamma = 1/beta, must reach its largest eigenvalue to
+    BETA_REL_TOL. Without a given rho, q must be positive semidefinite up to
+    the d-ulp rounding bound of its eigenvalues, and rho = c^T q^+ c is
+    summed with each eigenvalue lowered by that bound, so it errs high (+inf
+    for a singular q). Raises ParameterError otherwise.
+    """
     q = q.copy()
     q.flags.writeable = False
     c = c.copy()
     c.flags.writeable = False
+    if rho is None:
+        eig, vecs = np.linalg.eigh(q)
+        tol = q.shape[0] * UNIT_ROUNDOFF * float(np.max(np.abs(eig)))
+        if eig[0] < -tol:
+            raise ParameterError(f"{name}: the matrix has the eigenvalue {eig[0]:.6g} < 0, so f is not convex")
+        rho = math.inf if eig[0] <= tol else float(np.sum((vecs.T @ c) ** 2 / (eig - tol)))
+    else:  # eigenvectors from d = 30 on wake BLAS threads that spin about 0.13 s of CPU
+        eig = np.linalg.eigvalsh(q)
+    if eig[-1] <= 0.0:
+        raise ParameterError(f"{name}: the matrix has no positive curvature, beta would be 0")
+    beta = power_iteration(q)
+    if beta < (1.0 - BETA_REL_TOL) * eig[-1]:
+        raise ParameterError(f"{name}: power iteration gave beta = {beta!r}, short of the largest "
+                             f"eigenvalue {float(eig[-1])!r}; gamma = 1/beta would be too long a step")
 
     def value(x):
         if x.ndim == 1:
@@ -94,13 +123,12 @@ def make_quadratic(a, b) -> SmoothTerm:
         raise ParameterError(f"quadratic: A must be square and nonempty, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ParameterError(f"quadratic: b shape {b.shape} does not match A {a.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("quadratic: A and b must be finite")
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ParameterError("quadratic: A is not symmetric")
-    beta = power_iteration(a)
-    if beta <= 0.0:
-        raise ParameterError("quadratic: A has no positive curvature, beta would be 0")
-    return _quadratic_form(a, b, 0.0, beta, "quadratic")
+    return _quadratic_form(a, b, 0.0, "quadratic")
 
 
 def make_least_squares(design, targets) -> SmoothTerm:
@@ -113,13 +141,8 @@ def make_least_squares(design, targets) -> SmoothTerm:
     y = np.asarray(targets, dtype=float)
     if a.ndim != 2 or y.shape != (a.shape[0],):
         raise ParameterError(f"least squares: incompatible shapes {a.shape} and {y.shape}")
-    q = a.T @ a
-    c = a.T @ y
     constant = 0.5 * float(y @ y)
-    beta = power_iteration(q)
-    if beta <= 0.0:
-        raise ParameterError("least squares: design has rank 0")
-    return _quadratic_form(q, c, constant, beta, "least-squares", rho=2.0 * constant)
+    return _quadratic_form(a.T @ a, a.T @ y, constant, "least-squares", rho=2.0 * constant)
 
 
 def make_affine_descent() -> SmoothTerm:
@@ -204,6 +227,8 @@ def make_indicator_box(lower, upper) -> NonsmoothTerm:
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
     if np.any(lo > hi):
         raise ParameterError("box: lower bound exceeds upper bound")
+    if np.any(lo == math.inf) or np.any(hi == -math.inf):
+        raise ParameterError("box: a lower bound of +inf or an upper bound of -inf leaves the box empty")
     lo.flags.writeable = False
     hi.flags.writeable = False
 
@@ -316,7 +341,7 @@ def _quadratic_problem(spec: dict) -> CompositeProblem:
     witness = None
     nonempty = None
     inf_h = None
-    if shape_key == "diag" and g.name in ("l1", "box") and np.all(np.diag(a) >= 0.0):
+    if shape_key == "diag" and g.name in ("l1", "box"):
         witness = _separable_argmin(np.diag(a), b, g)
         nonempty = bool(np.all(np.isfinite(witness)))
         if nonempty:

@@ -271,8 +271,11 @@ def _reference_for_plot(path: Path, cols: dict, fixed) -> float:
             raise ConfigError(f"{report_path}: not valid JSON: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("reference"), (dict, type(None))):
             raise ConfigError(f"{report_path}: expected a JSON object whose 'reference' is an object")
-        with contextlib.suppress(ParameterError):  # else the trace's own minimum
-            return finite_number("min_h", (data.get("reference") or {}).get("min_h"))
+        # min h, else a known infimum, as build_report takes them; else the trace's own minimum
+        reference = data.get("reference") or {}
+        key = "min_h" if reference.get("min_h") is not None else "inf_h"
+        with contextlib.suppress(ParameterError):
+            return finite_number(key, reference.get(key))
     h = cols["h_xn"]
     if not h.size:
         return math.nan  # no rows, so no gap to take

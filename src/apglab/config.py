@@ -112,7 +112,7 @@ def parse_config(path) -> SuiteConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     version = data.get("version")
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:  # true and 1.0 equal 1 too
         raise ConfigError(f"config {path}: version must be {CONFIG_VERSION}, got {version!r}")
     unknown = set(data) - {"version", "out_dir", "runs"}
     if unknown:

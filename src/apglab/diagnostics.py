@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import OracleNotApplicable, OracleUnreliable
-from .problem import CompositeProblem, NUMERIC_TOL, evaluate_h
+from .problem import NUMERIC_TOL, UNIT_ROUNDOFF, CompositeProblem, evaluate_h
 from .schedules import FAMILIES
 # ista_run and mfista_run are not called here, but stay importable under these
 # names: perfbench/tracer.py hooks apglab.diagnostics.ista_run and .mfista_run.
@@ -93,41 +93,18 @@ ORACLE_GAP_TOL = 1e-12
 # the largest summand; against exact rational arithmetic, lasso instances up
 # to d = 50 rounded by less than 1 (see duality_bound).
 ROUNDING_UNITS = 8.0
-_UNIT_ROUNDOFF = 2.0 ** -52
 
 
-def quadratic_rho(problem: CompositeProblem) -> float:
-    """An upper bound rho on c^T Q^+ c for the dual bound of an l1 problem.
-
-    The smooth term's own rho when it has one (least squares: ||y||^2);
-    otherwise one eigendecomposition of Q, with each positive eigenvalue
-    lowered by the d-ulp bound on its rounding so the sum errs high. A
-    singular Q (an eigenvalue within that bound of 0) gives +inf: its dual
-    points are then used only where s = 1. Raises OracleUnreliable when Q
-    is not positive semidefinite, since the dual bound needs a convex f.
-    """
-    form = problem.smooth.quadratic
-    if form.rho is not None:
-        return form.rho
-    eig, vecs = np.linalg.eigh(form.q)
-    tol = form.q.shape[0] * _UNIT_ROUNDOFF * float(np.max(np.abs(eig)))
-    if eig[0] < -tol:
-        raise OracleUnreliable(f"{problem.name}: f is not convex, no duality certificate", gap=math.inf)
-    if eig[0] <= tol:
-        return math.inf
-    return float(np.sum((vecs.T @ form.c) ** 2 / (eig - tol)))
-
-
-def duality_bound(problem: CompositeProblem, x: np.ndarray, rho: float) -> tuple:
+def duality_bound(problem: CompositeProblem, x: np.ndarray) -> tuple:
     """(lower, allowance): a lower bound on min h from the Fenchel dual of h at x.
 
     For f(x) = x^T Q x / 2 - c^T x + kappa and g the l1 term of weight lam
     (g = 0 is weight 0) or a box, the dual is evaluated at
     u = s (c - Q x), the negative gradient scaled into dom g*:
     - l1: s = min(1, lam / ||c - Q x||_inf), and the bound is
-      kappa - ((1-s)^2 rho + 2 s (1-s) c^T x + s^2 x^T Q x) / 2 for any
-      rho >= c^T Q^+ c. For least squares this is the rescaled lasso dual
-      (Fercoq, Gramfort & Salmon, ICML 2015).
+      kappa - ((1-s)^2 rho + 2 s (1-s) c^T x + s^2 x^T Q x) / 2, rho >=
+      c^T Q^+ c read from the form. For least squares this is the rescaled
+      lasso dual (Fercoq, Gramfort & Salmon, ICML 2015).
     - box: s = 1, and h(x) minus the bound is the Frank-Wolfe gap
       max over the box of <grad f(x), x - y>.
     The summands are added with math.fsum. allowance, ROUNDING_UNITS unit
@@ -147,7 +124,7 @@ def duality_bound(problem: CompositeProblem, x: np.ndarray, rho: float) -> tuple
         lam = params["weight"]
         top = float(np.max(np.abs(w)))
         s = 1.0 if top <= lam else lam / top
-        dual_rho = 0.0 if s == 1.0 else 0.5 * (1.0 - s) ** 2 * rho
+        dual_rho = 0.0 if s == 1.0 else 0.5 * (1.0 - s) ** 2 * form.rho
         terms = [kappa, -dual_rho, -s * (1.0 - s) * cx, -0.5 * s * s * xqx]
         sizes += [dual_rho, lam * float(np.sum(np.abs(x)))]
     else:
@@ -157,7 +134,7 @@ def duality_bound(problem: CompositeProblem, x: np.ndarray, rho: float) -> tuple
         terms = [kappa, -0.5 * xqx, *(-support).tolist()]
         sizes.append(float(np.max(np.abs(support))))
     lower = math.fsum(terms) if all(map(math.isfinite, terms)) else -math.inf
-    return lower, ROUNDING_UNITS * _UNIT_ROUNDOFF * max([1.0] + [size for size in sizes if math.isfinite(size)])
+    return lower, ROUNDING_UNITS * UNIT_ROUNDOFF * max([1.0] + [size for size in sizes if math.isfinite(size)])
 
 
 def reference_min(problem: CompositeProblem, budget: int = ORACLE_BUDGET) -> ReferenceInfo:
@@ -197,7 +174,6 @@ def reference_min(problem: CompositeProblem, budget: int = ORACLE_BUDGET) -> Ref
     if problem.smooth.quadratic is None or problem.nonsmooth.params is None:
         raise OracleNotApplicable(f"{problem.name}: no duality certificate for these terms")
     certificate = "rescaled dual gap" if "weight" in problem.nonsmooth.params else "frank-wolfe gap"
-    rho = quadratic_rho(problem)
     x = np.zeros(problem.dim)
     lower, upper = -math.inf, math.inf
     lower_allowance = upper_allowance = 0.0
@@ -207,7 +183,7 @@ def reference_min(problem: CompositeProblem, budget: int = ORACLE_BUDGET) -> Ref
         trace = fista_run(problem, {"kind": "classical"}, SolverOptions(max_iters=chunk, record_every=chunk, x0=x))
         used += chunk
         x, h_x = trace.final_x, float(trace.h[-1])
-        bound, allowance = duality_bound(problem, x, rho)
+        bound, allowance = duality_bound(problem, x)
         moved = bound > lower or h_x < upper
         if bound > lower:
             lower, lower_allowance = bound, allowance

@@ -4,7 +4,8 @@ A problem bundles a smooth convex term f (finite everywhere, with a
 Lipschitz gradient) and a nonsmooth convex term g reached only through its
 proximal map. The step size gamma must lie in (0, 1/beta], where beta is
 the declared gradient-Lipschitz constant of f; the right endpoint is
-allowed.
+allowed. Both hold from the build on: gamma is checked here, and a
+quadratic f's convexity and beta by the catalog.
 
 g may evaluate to +inf outside its domain. That value is represented by
 the IEEE infinity and treated as an explicit extended real: it is returned
@@ -26,6 +27,8 @@ NUMERIC_TOL = 1e-10
 
 # Relative slack so that gamma = 1/beta survives the float division.
 _GAMMA_SLACK = 1e-12
+# The spacing of floats at 1: the unit of every rounding allowance.
+UNIT_ROUNDOFF = 2.0 ** -52
 
 Vector = np.ndarray
 
@@ -36,14 +39,14 @@ _FLOAT64 = np.dtype(np.float64)
 class QuadraticForm:
     """The data of f(x) = x^T q x / 2 - c^T x + constant, for certificates that read it.
 
-    rho is a known upper bound on c^T q^+ c (least squares: ||y||^2 =
-    2 constant), or None when nothing cheaper than a solve gives one.
+    rho is an upper bound on c^T q^+ c (+inf for a singular q), settled
+    when the catalog builds the term.
     """
 
     q: np.ndarray
     c: np.ndarray
     constant: float
-    rho: Optional[float] = None
+    rho: float
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,9 @@ FAMILIES = {
         delta=lambda s: 0.0,
     ),
     "classical": Family(
-        gate=_one_parameter("classical", "tau1", 1.0, lambda tau1: tau1 >= 1.0,
-                            "classical schedule needs tau1 >= 1, got {}"),
+        # 4 tau1^2 overflows past tau1 = 6.7e153, so tau_2 would be inf
+        gate=_one_parameter("classical", "tau1", 1.0, lambda tau1: tau1 >= 1.0 and math.isfinite(bracket_upper(tau1)),
+                            "classical schedule needs tau1 >= 1 with a finite tau_2, got {}"),
         taus=lambda s: _classical(s["tau1"]),
         kappa=lambda s: 2.0,  # for any tau1 >= 1
         tau_sup=_unbounded,

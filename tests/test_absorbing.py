@@ -40,7 +40,7 @@ from apglab import (
     run_algorithm,
 )
 from apglab import solvers
-from apglab.diagnostics import ORACLE_CHUNK, duality_bound, quadratic_rho
+from apglab.diagnostics import ORACLE_CHUNK, duality_bound
 
 from helpers import naive_run
 
@@ -439,14 +439,13 @@ def test_divergence_between_recorded_rows_matches_naive(algorithm):
 
 def naive_reference_min(problem, budget: int):
     """Restarted FISTA with the duality stop, over naive_run: (min_h, witness, iterations)."""
-    rho = quadratic_rho(problem)
     x, lower, upper, lower_allow, upper_allow, used = np.zeros(problem.dim), -math.inf, math.inf, 0.0, 0.0, 0
     while used < budget:
         chunk = min(ORACLE_CHUNK, budget - used)
         run = naive_run(problem, "fista", CLASSICAL, SolverOptions(max_iters=chunk, record_every=chunk, x0=x))
         used += chunk
         x, h_x = run["final_x"], run["h"][-1]
-        bound, allowance = duality_bound(problem, x, rho)
+        bound, allowance = duality_bound(problem, x)
         moved = bound > lower or h_x < upper
         if bound > lower:
             lower, lower_allow = bound, allowance

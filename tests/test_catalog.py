@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apglab import ParameterError, build_problem
+from apglab import ParameterError, build_problem, catalog
 from apglab.catalog import (
     make_indicator_box,
     make_l1,
@@ -63,6 +64,48 @@ def test_box_prox_agrees_with_numeric_oracle(y, gamma):
 def test_box_rejects_crossed_bounds():
     with pytest.raises(ParameterError):
         make_indicator_box(1.0, -1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(math.inf, math.inf), (-math.inf, -math.inf), ([0.0, math.inf], math.inf)],
+                         ids=["lo-inf", "hi-minus-inf", "one-coordinate"])
+def test_box_rejects_an_empty_box(lo, hi):
+    with pytest.raises(ParameterError, match="leaves the box empty"):
+        make_indicator_box(lo, hi)
+
+
+def test_least_squares_rejects_mismatched_shapes():
+    with pytest.raises(ParameterError, match=r"incompatible shapes \(3, 2\) and \(2,\)"):
+        make_least_squares(np.ones((3, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize("a, message", [
+    ([[1.0, 0.0], [0.0, -1.0]], "the matrix has the eigenvalue -1 < 0, so f is not convex"),
+    ([[-1.0, 0.0], [0.0, -2.0]], "the matrix has the eigenvalue -2 < 0, so f is not convex"),
+    ([[0.0, 0.0], [0.0, 0.0]], "the matrix has no positive curvature, beta would be 0"),
+    # power iteration's start vector (1, 1.5) is the eigenvector of 13, and 52 is the top eigenvalue
+    ([[40.0, -18.0], [-18.0, 25.0]], "power iteration gave beta = 12.999999999999996, short of the largest "
+                                     "eigenvalue 52.0"),
+], ids=["saddle", "concave", "zero", "beta-missed"])
+def test_quadratic_form_refuses_what_breaks_the_step_or_convexity(a, message):
+    with pytest.raises(ParameterError, match=f"^quadratic: {re.escape(message)}"):
+        make_quadratic(np.array(a), np.ones(2))
+
+
+def test_quadratic_form_settles_beta_and_rho_with_one_power_iteration(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return power_iteration(matrix)
+
+    monkeypatch.setattr(catalog, "power_iteration", counting)
+    quad = build_problem({"name": "quadratic", "matrix": [[2.0, 1.0], [1.0, 2.0]], "b": [1.0, 0.0]})
+    lasso = build_problem({"name": "lasso", "dim": 5, "seed": 3})
+    assert [m.shape for m in calls] == [(2, 2), (5, 5)]
+    assert calls[0] is quad.smooth.quadratic.q and calls[1] is lasso.smooth.quadratic.q
+    # c^T Q^+ c = 2/3 here, and rho errs high by a few ulps; least squares takes ||y||^2
+    assert 2.0 / 3.0 <= quad.smooth.quadratic.rho <= (1.0 + 1e-14) * 2.0 / 3.0
+    assert lasso.smooth.quadratic.rho == 2.0 * lasso.smooth.quadratic.constant
 
 
 def test_l1_rejects_negative_weight():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -296,7 +297,11 @@ def test_run_loose_number_exits_2(tmp_path, capsys, key, value, message):
     ({"version": 1, "runs": [QUAD_RUN, 5]}, "runs[1] must be an object, got int"),
     ({"version": 1, "runs": [{k: v for k, v in QUAD_RUN.items() if k != "max_iters"}]},
      "runs[0] is missing required key 'max_iters'"),
-], ids=["top-list", "runs-empty", "out_dir-empty", "run-number", "run-no-max_iters"])
+    # True == 1 == 1.0 in Python, but a bool is not a number and the version is an integer
+    ({"version": True, "runs": [QUAD_RUN]}, "config {path}: version must be 1, got True"),
+    ({"version": 1.0, "runs": [QUAD_RUN]}, "config {path}: version must be 1, got 1.0"),
+], ids=["top-list", "runs-empty", "out_dir-empty", "run-number", "run-no-max_iters", "version-true",
+        "version-float"])
 def test_run_malformed_config_exits_2(tmp_path, capsys, data, message):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(data))
@@ -304,6 +309,53 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, data, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message.format(path=cfg)}") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+BOX = {"kind": "box", "lo": 0.0, "hi": 1.0}
+L1 = {"kind": "l1", "weight": 0.5}
+NOT_CONVEX = "quadratic: the matrix has the eigenvalue -1 < 0, so f is not convex"
+TAU1_OVERFLOW = "classical schedule needs tau1 >= 1 with a finite tau_2, got 1e+200"
+
+
+@pytest.mark.parametrize("problem, algorithm, schedule, message", [
+    # power iteration settles on the eigenvalue 13, so gamma = 1/13 would be 4 times too long a step
+    ({"name": "quadratic", "matrix": [[40, -18], [-18, 25]], "b": [1.0, 0.5]}, "fista", None,
+     "quadratic: power iteration gave beta = 12.999999999999996, short of the largest eigenvalue 52.0"),
+    (dict(QUAD_SPEC, diag=[1.0, -1.0]), "fista", None, NOT_CONVEX),
+    ({"name": "quadratic", "matrix": [[1, 0], [0, -1]], "b": [1.0, 1.0], "g": BOX}, "fista", None, NOT_CONVEX),
+    ({"name": "quadratic", "matrix": [[1, 0], [0, -1]], "b": [1.0, 1.0], "g": L1}, "fista", None, NOT_CONVEX),
+    (QUAD_SPEC, "fista", {"kind": "classical", "tau1": 1e200}, TAU1_OVERFLOW),
+    (QUAD_SPEC, "mfista", {"kind": "classical", "tau1": 1e200}, TAU1_OVERFLOW),
+    (dict(QUAD_SPEC, g={"kind": "box", "lo": math.inf, "hi": math.inf}), "fista", None,
+     "box: a lower bound of +inf or an upper bound of -inf leaves the box empty"),
+    (QUAD_SPEC, "fista", {}, "schedule spec must be a dict with a 'kind', got {}"),
+    (dict(QUAD_SPEC, b=[math.inf, 1.0]), "fista", None, "quadratic: A and b must be finite"),
+    (dict(QUAD_SPEC, diag=[math.inf, 4.0]), "fista", None, "quadratic: A and b must be finite"),
+], ids=["beta-missed", "saddle", "not-convex-box", "not-convex-l1", "tau1-overflow-fista", "tau1-overflow-mfista",
+        "empty-box", "schedule-empty", "b-inf", "diag-inf"])
+def test_run_refuses_a_broken_hypothesis_at_load(tmp_path, monkeypatch, capsys, problem, algorithm, schedule,
+                                                 message):
+    # these used to run: to FAIL lines with exit 1, a certificate refused with
+    # exit 4, or, for tau1 = 1e200, an inf row that passed as diverging
+    solved = []
+    monkeypatch.setattr(cli, "resolve_reference", lambda *args, **kwargs: solved.append(args))
+    run = {"name": "q", "problem": problem, "algorithm": algorithm, "max_iters": 200, "schedule": schedule}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"version": 1, "runs": [run]}).replace("Infinity", "1e400"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: run 'q': {message}")
+    assert captured.out == "" and solved == [] and not (tmp_path / "out").exists()
+
+
+def test_schedule_command_refuses_a_tau1_whose_tau2_overflows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["schedule", "classical", "--tau1", "1e200", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {TAU1_OVERFLOW}\n"
 
 
 def test_run_singular_quadratic_unbounded_below_has_no_reference(tmp_path):
@@ -712,6 +764,23 @@ def test_plotdata_uses_sibling_report_reference(tmp_path, mini_config):
                      "--min-h", "-1.0", "--out", str(override)]) == 0
     forced = float((override / "quad-fista.h_gap.dat").read_text().split("\n")[0].split()[1])
     assert forced == pytest.approx(float(row["h_xn"]) + 1.0, rel=1e-12)
+
+
+def test_plotdata_measures_a_gap_from_the_known_infimum(tmp_path, capsys):
+    # unattained has no minimizer: its report's min_h is null and its inf_h 0.0,
+    # so the gap is h itself and does not close at the trace's last value
+    run = dict(QUAD_RUN, name="u", problem={"name": "unattained"}, max_iters=2000)
+    cfg = write_config(tmp_path / "c.json", [run])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    reference = json.loads((tmp_path / "runs" / "u.report.json").read_text())["reference"]
+    assert reference["min_h"] is None and reference["inf_h"] == 0.0
+    capsys.readouterr()
+    assert cli.main(["plotdata", str(tmp_path / "runs" / "u.csv"), "--quantity", "h_gap",
+                     "--out", str(tmp_path / "p")]) == 0
+    assert "note" not in capsys.readouterr().err
+    h = read_trace_csv(tmp_path / "runs" / "u.csv")["h_xn"]
+    cells = [line.split()[1] for line in (tmp_path / "p" / "u.h_gap.dat").read_text().splitlines()]
+    assert cells == [repr(v) for v in h.tolist()] and h.min() > 0.0
 
 
 def test_plotdata_missing_trace_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ use. The restarted loop itself is matched bit for bit against a naive
 transcription in test_absorbing.py, and exit code 4 in test_cli.py.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apglab import OracleNotApplicable, OracleUnreliable, build_problem, evaluate_h
-from apglab.diagnostics import duality_bound, quadratic_rho, reference_min
+from apglab import OracleNotApplicable, ParameterError, build_problem, evaluate_h
+from apglab.diagnostics import duality_bound, reference_min
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,19 +86,22 @@ def test_singular_matrix_l1_quadratic_certifies_where_s_is_one():
     # points with ||c - Q x||_inf <= weight count; the minimizer (0.5, 0) is one
     p = build_problem({"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 0.25],
                        "g": {"kind": "l1", "weight": 0.5}})
-    assert quadratic_rho(p) == np.inf
+    assert p.smooth.quadratic.rho == np.inf
     oracle = reference_min(p)
     assert _contains(oracle, -0.125)
 
 
 def test_oracle_refuses_problems_it_cannot_certify():
-    nonconvex = build_problem({"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]], "b": [1.0, 1.0],
-                               "g": {"kind": "box", "lo": 0.0, "hi": 1.0}})
-    with pytest.raises(OracleUnreliable, match="not convex"):
-        reference_min(nonconvex)
+    # a non-convex f is refused when the problem is built, before any oracle
+    with pytest.raises(ParameterError, match="not convex"):
+        build_problem({"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]], "b": [1.0, 1.0],
+                       "g": {"kind": "box", "lo": 0.0, "hi": 1.0}})
     unattained = build_problem({"name": "unattained"})
     with pytest.raises(OracleNotApplicable):
         reference_min(unattained)
+    # a smooth term that is not a quadratic form has no certificate, even where a minimizer may exist
+    with pytest.raises(OracleNotApplicable, match="no duality certificate for these terms"):
+        reference_min(dataclasses.replace(unattained, argmin_nonempty=None))
 
 
 def _instance(kind: str, dim: int, seed: int):
@@ -132,11 +136,10 @@ def test_weak_duality_holds_in_floating_point(kind, dim, seed, offset, data):
     # the bound at x, less its allowance, is below h at any x': the sharp case
     # is x next to the minimizer and x' at it
     problem = _instance(kind, dim, seed)
-    rho = quadratic_rho(problem)
     witness = _witness(problem, (kind, dim, seed))
     noise = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
     x = witness + offset * noise
-    lower, allowance = duality_bound(problem, x, rho)
+    lower, allowance = duality_bound(problem, x)
     assert allowance > 0.0
     for other in (witness, problem.nonsmooth.prox(x, problem.gamma), x):
         assert lower - allowance <= evaluate_h(problem, other)
@@ -145,14 +148,13 @@ def test_weak_duality_holds_in_floating_point(kind, dim, seed, offset, data):
 @pytest.mark.parametrize("kind", ["lasso", "box", "l1"])
 def test_a_perturbed_witness_widens_the_interval(kind):
     problem = _instance(kind, 6, 3)
-    rho = quadratic_rho(problem)
     oracle = reference_min(problem)
-    lower, _ = duality_bound(problem, oracle.witness, rho)
+    lower, _ = duality_bound(problem, oracle.witness)
     width = evaluate_h(problem, oracle.witness) - lower
     rng = np.random.default_rng(0)
     for scale in (1e-6, 1e-3, 1e-1):
         moved = problem.nonsmooth.prox(oracle.witness + scale * rng.normal(size=6), problem.gamma)
-        moved_lower, _ = duality_bound(problem, moved, rho)
+        moved_lower, _ = duality_bound(problem, moved)
         h_moved = evaluate_h(problem, moved)
         assert h_moved - moved_lower > width + oracle.allowance
         assert h_moved >= oracle.min_h - oracle.error_bar

@@ -220,3 +220,24 @@ def test_known_argmin_is_frozen():
     p = build_problem({"name": "quadratic", "diag": [2.0], "b": [4.0]})
     with pytest.raises(ValueError):
         p.known_argmin[0] = 0.0
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+def test_smooth_term_beta_must_be_finite_and_positive(beta):
+    with pytest.raises(ParameterError, match="beta must be finite and positive"):
+        quad1d(beta)
+
+
+def test_witness_of_the_wrong_shape_is_refused():
+    with pytest.raises(ParameterError, match=r"witness shape \(2,\) does not match dim 1"):
+        CompositeProblem(smooth=quad1d(), nonsmooth=make_zero(), gamma=1.0, dim=1, known_argmin=[0.0, 0.0])
+
+
+def test_a_list_point_is_taken_as_the_array_and_a_wrong_length_is_refused():
+    p = build_problem({"name": "quadratic", "diag": [1.0, 4.0], "b": [1.0, 1.0], "g": {"kind": "l1", "weight": 0.5}})
+    x = [0.5, -0.25]
+    assert evaluate_h(p, x) == evaluate_h(p, np.array(x))
+    assert forward_backward_step(p, x).tobytes() == forward_backward_step(p, np.array(x)).tobytes()
+    for call in (evaluate_h, forward_backward_step):
+        with pytest.raises(ParameterError, match=r"expected shape \(2,\), got \(3,\)"):
+            call(p, [0.0, 0.0, 0.0])

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -283,3 +285,23 @@ def test_bracket_violations_are_localized(values, bump, data):
     report = check_admissibility(np.asarray(broken))
     assert not report.ok
     assert report.first_violation == k
+
+
+def test_classical_tau1_must_leave_tau2_finite():
+    # tau_2 = (1 + sqrt(1 + 4 tau1^2)) / 2, and 4 tau1^2 overflows one float past this tau1
+    largest = 6.703903964971298e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau1 in (math.nextafter(largest, math.inf), 1e200):
+            message = f"classical schedule needs tau1 >= 1 with a finite tau_2, got {tau1!r}"
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                canonical_schedule_spec({"kind": "classical", "tau1": tau1})
+        taus = prefix({"kind": "classical", "tau1": largest}, 1000)
+    assert np.all(np.isfinite(taus)) and check_admissibility(taus).ok
+
+
+def test_prefix_and_admissibility_need_a_nonempty_prefix():
+    with pytest.raises(ParameterError, match="prefix length must be >= 1, got 0"):
+        prefix({"kind": "classical"}, 0)
+    with pytest.raises(ParameterError, match="nonempty 1D prefix"):
+        check_admissibility([])
