@@ -32,51 +32,17 @@ LASSO_ROW_FACTOR = 2
 LASSO_LAM_SCALE = 0.1
 LASSO_CONDITION = 1e2
 
-# power_iteration's relative tolerance on the Rayleigh quotient, and its iteration cap
-POWER_REL_TOL = 1e-12
-POWER_MAX_ITERS = 200_000
-# How far power iteration's beta may fall below the largest eigenvalue, relative: 1.6e-10
-# at most on about 1,000 lasso designs, a whole eigenvalue gap from a start vector that misses it
-BETA_REL_TOL = 1e-4
-
-
-def power_iteration(matrix: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a symmetric matrix.
-
-    Deterministic start vector; stops when the Rayleigh quotient is stable
-    to POWER_REL_TOL in relative terms. Its bits fix gamma = 1/beta, and so
-    every output byte; :func:`_quadratic_form` checks it against the dense
-    eigensolver.
-    """
-    m = np.asarray(matrix, dtype=float)
-    d = m.shape[0]
-    v = 1.0 + np.arange(d) / max(d, 1)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        new_lam = float(v @ w)
-        v = w / norm
-        if abs(new_lam - lam) <= POWER_REL_TOL * max(abs(new_lam), 1e-300):
-            return abs(new_lam)
-        lam = new_lam
-    return abs(lam)
-
-
 def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, name: str,
                     rho: Optional[float] = None) -> SmoothTerm:
     """The smooth term x^T q x / 2 - c^T x + constant, with every spectral fact of q settled here.
 
     One eigendecomposition of a read-only copy of q, its eigenvalues alone
-    when rho is given: q must have positive curvature, and power iteration's
-    beta, which fixes gamma = 1/beta, must reach its largest eigenvalue to
-    BETA_REL_TOL. Without a given rho, q must be positive semidefinite up to
-    the d-ulp rounding bound of its eigenvalues, and rho = c^T q^+ c is
-    summed with each eigenvalue lowered by that bound, so it errs high (+inf
-    for a singular q). Raises ParameterError otherwise.
+    when rho is given, and one d-ulp rounding bound of those eigenvalues.
+    q must have positive curvature; beta, which fixes gamma = 1/beta, is its
+    largest eigenvalue raised by that bound. Without a given rho, q must be
+    positive semidefinite up to the bound, and rho = c^T q^+ c is summed
+    with each eigenvalue lowered by it. So beta and rho both err high (rho
+    is +inf for a singular q). Raises ParameterError otherwise.
     """
     q = q.copy()
     q.flags.writeable = False
@@ -84,18 +50,16 @@ def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, name: str,
     c.flags.writeable = False
     if rho is None:
         eig, vecs = np.linalg.eigh(q)
-        tol = q.shape[0] * UNIT_ROUNDOFF * float(np.max(np.abs(eig)))
+    else:  # eigenvectors from d = 30 on wake BLAS threads that spin about 0.13 s of CPU
+        eig = np.linalg.eigvalsh(q)
+    tol = q.shape[0] * UNIT_ROUNDOFF * float(np.max(np.abs(eig)))
+    if rho is None:
         if eig[0] < -tol:
             raise ParameterError(f"{name}: the matrix has the eigenvalue {eig[0]:.6g} < 0, so f is not convex")
         rho = math.inf if eig[0] <= tol else float(np.sum((vecs.T @ c) ** 2 / (eig - tol)))
-    else:  # eigenvectors from d = 30 on wake BLAS threads that spin about 0.13 s of CPU
-        eig = np.linalg.eigvalsh(q)
     if eig[-1] <= 0.0:
         raise ParameterError(f"{name}: the matrix has no positive curvature, beta would be 0")
-    beta = power_iteration(q)
-    if beta < (1.0 - BETA_REL_TOL) * eig[-1]:
-        raise ParameterError(f"{name}: power iteration gave beta = {beta!r}, short of the largest "
-                             f"eigenvalue {float(eig[-1])!r}; gamma = 1/beta would be too long a step")
+    beta = float(eig[-1]) + tol
 
     def value(x):
         if x.ndim == 1:
@@ -114,8 +78,8 @@ def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, name: str,
 def make_quadratic(a, b) -> SmoothTerm:
     """f(x) = <Ax, x>/2 - <b, x> for symmetric positive semidefinite A.
 
-    beta is the largest eigenvalue of A, computed by power iteration to a
-    relative tolerance of POWER_REL_TOL.
+    beta is the largest eigenvalue of A, raised by the rounding bound of the
+    eigenvalues (:func:`_quadratic_form`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

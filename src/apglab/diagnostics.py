@@ -653,7 +653,7 @@ def build_report(trace: SolverTrace, problem: CompositeProblem, reference: Refer
             "final ||x_N - x_{N-1}||, the fixed-displacement probe")
 
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "run": {"name": run_name, "problem": trace.problem_name, "schedule": trace.schedule_spec,
                 "records": int(n.size), **{key: getattr(trace, key) for key in RUN_FIELDS}},
         "reference": {key: getattr(reference, key) for key in REFERENCE_FIELDS},

@@ -60,14 +60,14 @@ tolerance, and a run does not absorb before such a dip.
 
 Absorption ends the run: T and h are not called again, and the run leaves
 its lockstep batch. Its remaining recorded rows are written from slices of
-the tau array, a block at a time. The tau-dependent cells are not copied:
-tau and alpha change on every row, and so do the anchored lyapunov_E and
-fejer_dist, since u = tau x - (tau - 1) x - anchor rounds differently for
-every tau. The other cells are computed once, as one row of the block
-diagnostics from the inputs of iteration n + 1, and repeat because their
-inputs do. Each remaining recorded row takes them with its own tau and
-alpha, computed from the array by the operations of the loop, and its
-ledger is computed by the formula of every other row (``ledger``).
+the tau and alpha arrays, a block at a time. The tau-dependent cells are
+not copied: tau and alpha change on every row, and so do the anchored
+lyapunov_E and fejer_dist, since u = tau x - (tau - 1) x - anchor rounds
+differently for every tau. The other cells are computed once, as one row
+of the block diagnostics from the inputs of iteration n + 1, and repeat
+because their inputs do. Each remaining recorded row takes them with its own tau and
+alpha, read from the arrays the loop reads, and its ledger is computed by
+the formula of every other row (``ledger``).
 Traces, CSVs and reports are therefore bit-identical to iterating to the
 end. ``SolverTrace.absorbed_at`` is n + 1, the first iteration not
 iterated, so an absorbed run applied T absorbed_at - 1 times.
@@ -117,7 +117,7 @@ from .problem import (
     rowdot,
     vector_norm,
 )
-from .schedules import canonical_schedule_spec, prefix
+from .schedules import alphas, canonical_schedule_spec, prefix
 
 try:
     # hashlib loads OpenSSL, which costs every process about 3.5 MB of
@@ -321,13 +321,15 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         pending.clear()
         rows[:, cursor - len(columns[0]):cursor] = _diagnostic_rows(gamma, monotone, anchor, anchor_h, *columns)
 
-    # tau_1 .. tau_{N+1}; tau_n is tau_at[n - 1], a Python float. The last
-    # iteration m where alpha_{m+1} has the other sign than alpha_m, and the
-    # last with tau_{m+1} != tau_m, decide whether a later tau can move an
-    # absorbed y (module docstring).
+    # tau_1 .. tau_{N+1} and alpha_1 .. alpha_N, read as Python floats from
+    # tau_at[n - 1] and alpha_at[n - 1]. The last iteration m where alpha_{m+1}
+    # has the other sign than alpha_m, and the last with tau_{m+1} != tau_m,
+    # decide whether a later tau can move an absorbed y (module docstring).
     taus = prefix(spec, n_iters + 1)
+    alpha_of = alphas(taus)
     tau_at = memoryview(taus)
-    last_flip = _last(np.diff((taus[:-1] - 1.0) / taus[1:] < 0.0))
+    alpha_at = memoryview(alpha_of)
+    last_flip = _last(np.diff(alpha_of < 0.0))
     last_move = _last(taus[1:] != taus[:-1])
 
     x_prev = x0
@@ -356,8 +358,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
             truncated_at = n
             break
 
-        tau, tau_next = tau_at[n - 1], tau_at[n]
-        alpha = (tau - 1.0) / tau_next
+        tau, tau_next, alpha = tau_at[n - 1], tau_at[n], alpha_at[n - 1]
         step = x - x_prev
 
         if n == 1:
@@ -416,7 +417,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
                 end = cursor + ms.size
                 col_n[cursor:end] = ms
                 rows[:, cursor:end] = cells[:, None]
-                rows[:2, cursor:end] = tau_m, (tau_m - 1.0) / taus[ms]
+                rows[:2, cursor:end] = tau_m, alpha_of[ms - 1]
                 rows[-2:, cursor:end] = ledger(gamma, monotone, anchor, anchor_h, tau_m, h_x,
                                                x[None], t_y[None], x[None])
                 cursor = end

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +15,8 @@ from apglab.catalog import (
     make_least_squares,
     make_quadratic,
     make_unattained_infimum,
-    power_iteration,
 )
 from helpers import beta_oracle, fixed_point_residual, prox_oracle_1d
-
-
-def test_power_iteration_matches_dense_eigensolver():
-    rng = np.random.default_rng(11)
-    for dim in (2, 5, 17):
-        a = rng.normal(size=(dim, dim))
-        sym = 0.5 * (a + a.T)
-        assert power_iteration(sym) == pytest.approx(beta_oracle(sym), rel=1e-9)
 
 
 def test_quadratic_rejects_asymmetric_matrix():
@@ -82,30 +75,45 @@ def test_least_squares_rejects_mismatched_shapes():
     ([[1.0, 0.0], [0.0, -1.0]], "the matrix has the eigenvalue -1 < 0, so f is not convex"),
     ([[-1.0, 0.0], [0.0, -2.0]], "the matrix has the eigenvalue -2 < 0, so f is not convex"),
     ([[0.0, 0.0], [0.0, 0.0]], "the matrix has no positive curvature, beta would be 0"),
-    # power iteration's start vector (1, 1.5) is the eigenvector of 13, and 52 is the top eigenvalue
-    ([[40.0, -18.0], [-18.0, 25.0]], "power iteration gave beta = 12.999999999999996, short of the largest "
-                                     "eigenvalue 52.0"),
-], ids=["saddle", "concave", "zero", "beta-missed"])
+], ids=["saddle", "concave", "zero"])
 def test_quadratic_form_refuses_what_breaks_the_step_or_convexity(a, message):
     with pytest.raises(ParameterError, match=f"^quadratic: {re.escape(message)}"):
         make_quadratic(np.array(a), np.ones(2))
 
 
-def test_quadratic_form_settles_beta_and_rho_with_one_power_iteration(monkeypatch):
+def test_quadratic_form_settles_beta_and_rho_with_one_eigensolver_call(monkeypatch):
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix)
-        return power_iteration(matrix)
+    def counting(solver):
+        def call(matrix):
+            calls.append((solver.__name__, matrix))
+            return solver(matrix)
+        return call
 
-    monkeypatch.setattr(catalog, "power_iteration", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     quad = build_problem({"name": "quadratic", "matrix": [[2.0, 1.0], [1.0, 2.0]], "b": [1.0, 0.0]})
     lasso = build_problem({"name": "lasso", "dim": 5, "seed": 3})
-    assert [m.shape for m in calls] == [(2, 2), (5, 5)]
-    assert calls[0] is quad.smooth.quadratic.q and calls[1] is lasso.smooth.quadratic.q
+    assert [(solver, m.shape) for solver, m in calls] == [("eigh", (2, 2)), ("eigvalsh", (5, 5))]
+    assert calls[0][1] is quad.smooth.quadratic.q and calls[1][1] is lasso.smooth.quadratic.q
     # c^T Q^+ c = 2/3 here, and rho errs high by a few ulps; least squares takes ||y||^2
     assert 2.0 / 3.0 <= quad.smooth.quadratic.rho <= (1.0 + 1e-14) * 2.0 / 3.0
     assert lasso.smooth.quadratic.rho == 2.0 * lasso.smooth.quadratic.constant
+
+
+SUITE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_suite.json"
+
+
+def test_default_step_is_at_most_one_over_the_largest_eigenvalue():
+    # gamma = 1/beta <= 1/lambda_max in floats, the step every certificate assumes
+    suite = {json.dumps(run["problem"]) for run in json.loads(SUITE_CONFIG.read_text())["runs"]
+             if run["problem"]["name"] in ("quadratic", "lasso")}
+    specs = [json.loads(spec) for spec in sorted(suite)]
+    specs += [{"name": "lasso", "dim": dim, "seed": seed} for dim in (10, 20, 50) for seed in range(1000, 1334)]
+    assert len(specs) == 4 + 1_002
+    for spec in specs:
+        problem = build_problem(spec)
+        assert problem.gamma * np.linalg.eigvalsh(problem.smooth.quadratic.q)[-1] <= 1.0, spec
 
 
 def test_l1_rejects_negative_weight():

@@ -182,8 +182,8 @@ def test_non_finite_schedule_parameter_exits_3_and_says_so(tmp_path, capsys, kin
 
 def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
     # the l1-quadratic scaled by c = 1e5 leaves the iterates as at c = 1 and
-    # multiplies every h-gap by c; the key-inequality residual at n = 72
-    # (about 3 ulps of h) then exceeds the absolute 1e-10 tolerance
+    # multiplies every h-gap by c; the key-inequality residual at n = 51
+    # (about 4 ulps of h) then exceeds the absolute 1e-10 tolerance
     c = 1e5
     scaled = {"name": "l1quad", "algorithm": "fista", "schedule": {"kind": "constant", "tau": 2.0},
               "problem": {"name": "quadratic", "diag": [c, 4 * c], "b": [3 * c, 3 * c],
@@ -202,7 +202,8 @@ def test_run_fail_line_shows_worst_residual_and_n(tmp_path, capsys):
                  if checks[check]["worst_residual"] is not None else f"{check}(worst=none, n=none)"
                  for check in failed]
         assert f"run {name}: FAIL [{', '.join(shown)}]" in lines
-    assert "keyineq(worst=-1.75e-10, n=72)" in lines[0]
+    assert lines[0] == ("run l1quad: FAIL [descent_ledger(worst=2.33e-10, n=50), keyineq(worst=-2.33e-10, n=51), "
+                        "sigma_monotone(worst=2.33e-10, n=51), summability_tails(worst=0.00457, n=10)]")
     assert "divergence_xnorm(worst=none, n=none)" in lines[1]
 
 
@@ -318,9 +319,6 @@ TAU1_OVERFLOW = "classical schedule needs tau1 >= 1 with a finite tau_2, got 1e+
 
 
 @pytest.mark.parametrize("problem, algorithm, schedule, message", [
-    # power iteration settles on the eigenvalue 13, so gamma = 1/13 would be 4 times too long a step
-    ({"name": "quadratic", "matrix": [[40, -18], [-18, 25]], "b": [1.0, 0.5]}, "fista", None,
-     "quadratic: power iteration gave beta = 12.999999999999996, short of the largest eigenvalue 52.0"),
     (dict(QUAD_SPEC, diag=[1.0, -1.0]), "fista", None, NOT_CONVEX),
     ({"name": "quadratic", "matrix": [[1, 0], [0, -1]], "b": [1.0, 1.0], "g": BOX}, "fista", None, NOT_CONVEX),
     ({"name": "quadratic", "matrix": [[1, 0], [0, -1]], "b": [1.0, 1.0], "g": L1}, "fista", None, NOT_CONVEX),
@@ -331,7 +329,7 @@ TAU1_OVERFLOW = "classical schedule needs tau1 >= 1 with a finite tau_2, got 1e+
     (QUAD_SPEC, "fista", {}, "schedule spec must be a dict with a 'kind', got {}"),
     (dict(QUAD_SPEC, b=[math.inf, 1.0]), "fista", None, "quadratic: A and b must be finite"),
     (dict(QUAD_SPEC, diag=[math.inf, 4.0]), "fista", None, "quadratic: A and b must be finite"),
-], ids=["beta-missed", "saddle", "not-convex-box", "not-convex-l1", "tau1-overflow-fista", "tau1-overflow-mfista",
+], ids=["saddle", "not-convex-box", "not-convex-l1", "tau1-overflow-fista", "tau1-overflow-mfista",
         "empty-box", "schedule-empty", "b-inf", "diag-inf"])
 def test_run_refuses_a_broken_hypothesis_at_load(tmp_path, monkeypatch, capsys, problem, algorithm, schedule,
                                                  message):
@@ -348,6 +346,19 @@ def test_run_refuses_a_broken_hypothesis_at_load(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: run 'q': {message}")
     assert captured.out == "" and solved == [] and not (tmp_path / "out").exists()
+
+
+def test_run_takes_beta_from_the_largest_eigenvalue(tmp_path, capsys):
+    # the eigenvalues are 13 and 52: beta is 52 raised by the rounding bound
+    # 2 * 2^-52 * 52 of the eigenvalues, so gamma * lambda_max stays <= 1
+    problem = {"name": "quadratic", "matrix": [[40, -18], [-18, 25]], "b": [1.0, 0.5]}
+    built = build_problem(problem)
+    assert built.smooth.beta == 52.00000000000002 == 52.0 + 2 * 2.0 ** -52 * 52.0
+    assert built.gamma * np.linalg.eigvalsh(built.smooth.quadratic.q)[-1] <= 1.0
+    run = {"name": "q", "problem": problem, "algorithm": "fista", "max_iters": 200}
+    cfg = write_config(tmp_path / "c.json", [run])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "run q: pass (200 records)"
 
 
 def test_schedule_command_refuses_a_tau1_whose_tau2_overflows(capsys):
