@@ -42,7 +42,8 @@ def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, name: str,
     largest eigenvalue raised by that bound. Without a given rho, q must be
     positive semidefinite up to the bound, and rho = c^T q^+ c is summed
     with each eigenvalue lowered by it. So beta and rho both err high (rho
-    is +inf for a singular q). Raises ParameterError otherwise.
+    is +inf for a singular q); beta must stay finite. Raises ParameterError
+    otherwise.
     """
     q = q.copy()
     q.flags.writeable = False
@@ -60,6 +61,8 @@ def _quadratic_form(q: np.ndarray, c: np.ndarray, constant: float, name: str,
     if eig[-1] <= 0.0:
         raise ParameterError(f"{name}: the matrix has no positive curvature, beta would be 0")
     beta = float(eig[-1]) + tol
+    if beta == math.inf:
+        raise ParameterError(f"{name}: the largest eigenvalue with its rounding bound overflows, beta would be inf")
 
     def value(x):
         if x.ndim == 1:

@@ -75,7 +75,9 @@ def test_least_squares_rejects_mismatched_shapes():
     ([[1.0, 0.0], [0.0, -1.0]], "the matrix has the eigenvalue -1 < 0, so f is not convex"),
     ([[-1.0, 0.0], [0.0, -2.0]], "the matrix has the eigenvalue -2 < 0, so f is not convex"),
     ([[0.0, 0.0], [0.0, 0.0]], "the matrix has no positive curvature, beta would be 0"),
-], ids=["saddle", "concave", "zero"])
+    # every entry is finite, but the largest eigenvalue 2e308 is not
+    ([[1e308, 1e308], [1e308, 1e308]], "the largest eigenvalue with its rounding bound overflows, beta would be inf"),
+], ids=["saddle", "concave", "zero", "beta-missed"])
 def test_quadratic_form_refuses_what_breaks_the_step_or_convexity(a, message):
     with pytest.raises(ParameterError, match=f"^quadratic: {re.escape(message)}"):
         make_quadratic(np.array(a), np.ones(2))

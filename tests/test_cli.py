@@ -319,6 +319,9 @@ TAU1_OVERFLOW = "classical schedule needs tau1 >= 1 with a finite tau_2, got 1e+
 
 
 @pytest.mark.parametrize("problem, algorithm, schedule, message", [
+    # a finite matrix whose largest eigenvalue, 2e308, overflows: gamma = 1/beta would be 0
+    ({"name": "quadratic", "matrix": [[1e308, 1e308], [1e308, 1e308]], "b": [1.0, 0.5]}, "fista", None,
+     "quadratic: the largest eigenvalue with its rounding bound overflows, beta would be inf"),
     (dict(QUAD_SPEC, diag=[1.0, -1.0]), "fista", None, NOT_CONVEX),
     ({"name": "quadratic", "matrix": [[1, 0], [0, -1]], "b": [1.0, 1.0], "g": BOX}, "fista", None, NOT_CONVEX),
     ({"name": "quadratic", "matrix": [[1, 0], [0, -1]], "b": [1.0, 1.0], "g": L1}, "fista", None, NOT_CONVEX),
@@ -329,7 +332,7 @@ TAU1_OVERFLOW = "classical schedule needs tau1 >= 1 with a finite tau_2, got 1e+
     (QUAD_SPEC, "fista", {}, "schedule spec must be a dict with a 'kind', got {}"),
     (dict(QUAD_SPEC, b=[math.inf, 1.0]), "fista", None, "quadratic: A and b must be finite"),
     (dict(QUAD_SPEC, diag=[math.inf, 4.0]), "fista", None, "quadratic: A and b must be finite"),
-], ids=["saddle", "not-convex-box", "not-convex-l1", "tau1-overflow-fista", "tau1-overflow-mfista",
+], ids=["beta-missed", "saddle", "not-convex-box", "not-convex-l1", "tau1-overflow-fista", "tau1-overflow-mfista",
         "empty-box", "schedule-empty", "b-inf", "diag-inf"])
 def test_run_refuses_a_broken_hypothesis_at_load(tmp_path, monkeypatch, capsys, problem, algorithm, schedule,
                                                  message):
