@@ -73,19 +73,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _apply_seed_override(runs) -> None:
-    raw = os.environ.get("APG_SEED")
-    if raw is None:
-        return
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigError(f"APG_SEED must be an integer, got {raw!r}") from None
-    for run in runs:
-        if "seed" in run.problem:
-            run.problem = {**run.problem, "seed": seed}
-
-
 def _problem_key(run: RunSpec) -> tuple:
     """Runs with equal keys share one problem, one reference solve and their batches."""
     return json.dumps(run.problem, sort_keys=True), run.oracle_budget
@@ -131,7 +118,6 @@ def cmd_run(args) -> int:
         return _fail(f"--jobs must be >= 1, got {args.jobs}", EXIT_CONFIG)
     try:
         cfg = parse_config(args.config)
-        _apply_seed_override(cfg.runs)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
 
@@ -144,11 +130,10 @@ def cmd_run(args) -> int:
             key = _problem_key(run)
             if key not in plan:
                 plan[key] = (build_problem(run.problem), [])
-            problem, members = plan[key]
-            run.schedule = check_run(problem, run.algorithm, run.schedule, run.options)
+            run.schedule = check_run(run.algorithm, run.schedule, run.options)
         except (ParameterError, AdmissibilityError) as exc:
             return _fail(f"run {run.name!r}: {exc}", EXIT_PARAMS)
-        members.append(run)
+        plan[key][1].append(run)
 
     out_dir = args.out if args.out is not None else cfg.out_dir
     try:

@@ -24,7 +24,7 @@ CONFIG_VERSION = 1
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 # the run keys that fill SolverOptions fields of the same name
-_OPTION_KEYS = ("max_iters", "record_every", "stop_step_norm", "stop_h_gap", "divergence_threshold")
+_OPTION_KEYS = ("max_iters", "record_every", "divergence_threshold")
 
 _RUN_KEYS = {
     "name",

@@ -623,8 +623,7 @@ CHECKS = (
 
 
 # trace fields a report's "run" section copies under their own names
-RUN_FIELDS = ("algorithm", "gamma", "max_iters", "record_every", "anchored", "diverging", "truncated_at",
-              "stopped_at")
+RUN_FIELDS = ("algorithm", "gamma", "max_iters", "record_every", "anchored", "diverging", "truncated_at")
 
 
 # reference fields a report's "reference" section copies under their own names
@@ -653,7 +652,7 @@ def build_report(trace: SolverTrace, problem: CompositeProblem, reference: Refer
             "final ||x_N - x_{N-1}||, the fixed-displacement probe")
 
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "run": {"name": run_name, "problem": trace.problem_name, "schedule": trace.schedule_spec,
                 "records": int(n.size), **{key: getattr(trace, key) for key in RUN_FIELDS}},
         "reference": {key: getattr(reference, key) for key in REFERENCE_FIELDS},

@@ -11,18 +11,17 @@ Recorded rows only, a block at a time. The diagnostic columns (sigma,
 the step norm, the key residual and the anchored ledger) are computed only
 for iterations that write a row. Every iteration computes what the
 iteration itself needs: T y, h(T y), MFISTA's accept/reject, the iterate
-norm for the divergence test, the step norm where a stop test reads it,
-the next tau and alpha, y_{n+1}, the stop tests and the absorption test.
-A sparser ``record_every`` therefore also makes a long run cheaper. A row
-to compute is queued (its scalars and references to x_{n-1}, y_n, T y_n
-and x_n), and every ``_BLOCK`` rows, and when the loop ends, one call
-computes the columns of the whole block from (m, d) stacks. Its dot
-products go through :func:`apglab.problem.rowdot`, one BLAS ``ddot`` per
-row, the routine a 1-D ``a @ b`` uses, so no row's value depends on the
-rows stacked with it (a matrix product over the stack would round
-differently), and every other operation is elementwise. The recorded rows
-are therefore bit-identical to those of a loop that computes every column
-at every iteration, one row at a time.
+norm for the divergence test, the next tau and alpha, y_{n+1} and the
+absorption test. A sparser ``record_every`` therefore also makes a long
+run cheaper. A row to compute is queued (its scalars and references to
+x_{n-1}, y_n, T y_n and x_n), and every ``_BLOCK`` rows, and when the
+loop ends, one call computes the columns of the whole block from (m, d)
+stacks. Its dot products go through :func:`apglab.problem.rowdot`, one
+BLAS ``ddot`` per row, the routine a 1-D ``a @ b`` uses, so no row's
+value depends on the rows stacked with it (a matrix product over the
+stack would round differently), and every other operation is
+elementwise. The recorded rows are therefore bit-identical to those of a
+loop that computes every column at every iteration, one row at a time.
 
 Absorbing states. Float iterates often reach an exact fixed point long
 before max_iters: iteration n leaves x_n = x_{n-1}, h(x_n) = h(x_{n-1})
@@ -44,10 +43,10 @@ makes it repeat.
 A run reads its whole sequence tau_1, ..., tau_{N+1} (N = max_iters)
 before its first iteration, as the array :func:`~apglab.schedules.prefix`
 returns, so it knows whether a later tau can move y. That costs 8 bytes
-per iteration, 0.8 MB for 100k iterations, and a run that stops or
-truncates early draws the whole sequence too. Hence one rule for every
-schedule: a run absorbs at n < N when x, h and y repeat as above, no
-alpha_m with m > n has the other sign than alpha_n, and, for MFISTA with
+per iteration, 0.8 MB for 100k iterations, and a run that truncates early
+draws the whole sequence too. Hence one rule for every schedule: a run
+absorbs at n < N when x, h and y repeat as above, no alpha_m with m > n
+has the other sign than alpha_n, and, for MFISTA with
 T y_n != x_n, tau_n = tau_{n+1} = ... = tau_{N+1}. Constant schedules
 (ISTA included) meet the last two conditions at every n, so for them the
 rule is the byte test of x and y alone; a momentum MFISTA run whose
@@ -74,8 +73,8 @@ iterated, so an absorbed run applied T absorbed_at - 1 times.
 
 Lockstep batches. The iteration of a run is one generator, ``_steps``: it
 yields y_n and receives T y_n and h(T y_n), and does everything else
-itself (tau reads, MFISTA's accept/reject, the divergence, stop and
-absorption tests, the record queue and the block diagnostics).
+itself (tau reads, MFISTA's accept/reject, the divergence and absorption
+tests, the record queue and the block diagnostics).
 :func:`run_batch` drives the runs that share a problem together: while
 two or more are live, each iteration stacks their y_n into one
 C-contiguous (k, d) array and makes one ``forward_backward_step`` and one
@@ -146,22 +145,21 @@ _BLOCK = 64
 
 @dataclass
 class SolverOptions:
-    """Run-length, recording, stopping, and anchoring knobs.
+    """Run-length, recording, divergence and anchoring knobs.
 
-    anchor is a point of dom h used for Lyapunov/Fejer ledgers (normally a
-    known or oracle minimizer). Stops are off by default because several
-    checked properties concern non-convergent runs. record_every thins the
-    trace (the first and last iterations and a stop are always kept); the
-    diagnostic columns are computed only for recorded rows, a block of rows
-    at a time, so a sparse cadence also makes a long run cheaper.
+    A run ends at max_iters, at truncation (an overflow, or an iterate norm
+    above divergence_threshold) or at absorption (module docstring). anchor
+    is a point of dom h used for Lyapunov/Fejer ledgers (normally a known or
+    oracle minimizer). record_every thins the trace (the first and last
+    iterations are always kept); the diagnostic columns are computed only
+    for recorded rows, a block at a time, so a sparse cadence also makes a
+    long run cheaper.
     """
 
     max_iters: int
     record_every: int = 1
     x0: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
-    stop_step_norm: Optional[float] = None
-    stop_h_gap: Optional[float] = None
     divergence_threshold: float = 1e150
 
 
@@ -175,7 +173,7 @@ class SolverTrace:
     ledger is defined through the candidate points instead). absorbed_at
     is the first iteration that the run skipped at an exact fixed point,
     under any schedule (module docstring), so it applied T absorbed_at - 1
-    times; None when the run applied T up to its end, stop or truncation.
+    times; None when the run applied T up to its end or truncation.
     """
 
     algorithm: str
@@ -201,10 +199,13 @@ class SolverTrace:
     final_x_prev: Optional[np.ndarray]
     anchor: Optional[np.ndarray]
     anchor_h: Optional[float]
-    diverging: bool = False
     truncated_at: Optional[int] = None
-    stopped_at: Optional[int] = None
     absorbed_at: Optional[int] = None
+
+    @property
+    def diverging(self) -> bool:
+        """True when the iterate of iteration truncated_at overflowed or crossed divergence_threshold."""
+        return self.truncated_at is not None
 
     @property
     def anchored(self) -> bool:
@@ -231,19 +232,17 @@ def _resolve_anchor(problem: CompositeProblem, options: SolverOptions):
 def check_options(options: SolverOptions) -> None:
     """Judge every number of a run's options: ParameterError names the first bad one.
 
-    max_iters and record_every are integers from 1 to 2**53; the stops are None or
-    finite and positive; divergence_threshold is finite and positive.
+    max_iters and record_every are integers from 1 to 2**53;
+    divergence_threshold is finite and positive.
     """
     for key in ("max_iters", "record_every"):
         positive_int(key, getattr(options, key))
-    for key in ("stop_step_norm", "stop_h_gap", "divergence_threshold"):
-        value = getattr(options, key)
-        if (value is not None or key == "divergence_threshold") and not finite_number(key, value) > 0.0:
-            raise ParameterError(f"{key} must be positive, got {value!r}")
+    threshold = options.divergence_threshold
+    if not finite_number("divergence_threshold", threshold) > 0.0:
+        raise ParameterError(f"divergence_threshold must be positive, got {threshold!r}")
 
 
-def check_run(problem: CompositeProblem, algorithm: str, schedule: Optional[dict],
-              options: SolverOptions) -> dict:
+def check_run(algorithm: str, schedule: Optional[dict], options: SolverOptions) -> dict:
     """Check one run's arguments before anything is solved; return its canonical schedule spec.
 
     schedule is a spec, or None for the default: classical momentum (ista
@@ -258,8 +257,6 @@ def check_run(problem: CompositeProblem, algorithm: str, schedule: Optional[dict
     if algorithm == "ista" and spec != ISTA_SCHEDULE:
         raise ParameterError(f"ista requires the constant schedule tau=1, got {spec}")
     check_options(options)
-    if options.stop_h_gap is not None and problem.known_min is None:
-        raise ParameterError("stop_h_gap requires a problem with known_min set")
     if spec["kind"] == "custom" and len(spec["values"]) <= options.max_iters:
         raise ParameterError(
             f"custom schedule exhausted after {len(spec['values'])} values: max_iters = "
@@ -293,7 +290,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     It yields each y_n and receives (T y_n, h(T y_n)) for it; its return
     value is the run's SolverTrace. :func:`run_batch` drives it.
     """
-    spec = check_run(problem, algorithm, schedule, options)
+    spec = check_run(algorithm, schedule, options)
     gamma = problem.gamma
     monotone = algorithm == "mfista"
     x0 = (
@@ -307,8 +304,6 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     every = options.record_every
     col_n, rows = _row_buffer(2 + n_iters // every)
     cursor = 0
-    stop_step_norm = options.stop_step_norm
-    stop_h_gap = options.stop_h_gap
     divergence_threshold = options.divergence_threshold
     # Recorded rows queued for _diagnostic_rows, one tuple of its arguments
     # each; they fill the last len(pending) rows before cursor. The queue is
@@ -337,9 +332,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
     y = x0.copy()
     x1: Optional[np.ndarray] = None
     h1 = math.nan
-    diverging = False
     truncated_at: Optional[int] = None
-    stopped_at: Optional[int] = None
     absorbed_at: Optional[int] = None
     final_x: Optional[np.ndarray] = None
     final_x_prev: Optional[np.ndarray] = None
@@ -354,7 +347,6 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
 
         x_norm = vector_norm(x)
         if x_norm > divergence_threshold or not (math.isfinite(h_x) and math.isfinite(x_norm)):
-            diverging = True
             truncated_at = n
             break
 
@@ -365,17 +357,12 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
             x1 = x.copy()
             h1 = h_x
 
-        stop = ((stop_step_norm is not None and vector_norm(step) < stop_step_norm)
-                or (stop_h_gap is not None and h_x - problem.known_min < stop_h_gap))
-        if stop:
-            stopped_at = n
-
         if monotone:
             y_next = x + (tau / tau_next) * (t_y - x) + alpha * step
         else:
             y_next = x + alpha * step
 
-        if n == 1 or n == n_iters or n % every == 0 or stop:
+        if n == 1 or n == n_iters or n % every == 0:
             pending.append((tau, alpha, h_x, x_norm, h_prev, h_t, x_prev, y, t_y, x))
             col_n[cursor] = n
             cursor += 1
@@ -388,7 +375,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         # multiplies T y - x != 0, tau stands still from tau_n on. The float
         # comparisons come first (T y = x implies h(T y) = h(x)); on an
         # MFISTA plateau h and x stand still while tau and y move.
-        absorbed = (h_x == h_prev and not stop and n < n_iters
+        absorbed = (h_x == h_prev and n < n_iters
                     and last_flip < n
                     and (not monotone or last_move < n or (h_t == h_x and t_y.tobytes() == x.tobytes()))
                     and y_next.tobytes() == y.tobytes() and x.tobytes() == x_prev.tobytes())
@@ -398,8 +385,6 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         x_prev = x
         h_prev = h_x
         y = y_next
-        if stop:
-            break
         if absorbed:
             # Every later iteration takes these inputs again with its own tau
             # (module docstring): the recorded rows m in (n, N] take the cells
@@ -443,9 +428,7 @@ def _steps(problem: CompositeProblem, algorithm: str, schedule, options: SolverO
         final_x_prev=final_x_prev,
         anchor=anchor,
         anchor_h=anchor_h,
-        diverging=diverging,
         truncated_at=truncated_at,
-        stopped_at=stopped_at,
         absorbed_at=absorbed_at,
     )
 

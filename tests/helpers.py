@@ -107,8 +107,7 @@ def naive_run(problem, algorithm: str, schedule_spec, options) -> dict:
 
     names = ("n", "tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov", "fejer_dist")
     rows = []
-    out = {"x1": None, "h1": math.nan, "final_x": None, "final_x_prev": None,
-           "stopped_at": None, "truncated_at": None}
+    out = {"x1": None, "h1": math.nan, "final_x": None, "final_x_prev": None, "truncated_at": None}
     x_prev, h_prev, y = x0, evaluate_h(problem, x0), x0.copy()
     for n in range(1, options.max_iters + 1):
         tau, tau_next = taus[n - 1], taus[n]
@@ -140,11 +139,7 @@ def naive_run(problem, algorithm: str, schedule_spec, options) -> dict:
             fejer = math.nan if monotone else math.sqrt(u_sq)
         if n == 1:
             out["x1"], out["h1"] = x.copy(), h_x
-        stop = (options.stop_step_norm is not None and step_norm < options.stop_step_norm) or (
-            options.stop_h_gap is not None and h_x - problem.known_min < options.stop_h_gap)
-        if stop:
-            out["stopped_at"] = n
-        if n == 1 or n == options.max_iters or n % options.record_every == 0 or stop:
+        if n == 1 or n == options.max_iters or n % options.record_every == 0:
             rows.append((n, tau, alpha, h_x, sigma, step_norm, x_norm, key, lyap, fejer))
         if monotone:
             y = x + (tau / tau_next) * (z - x) + alpha * (x - x_prev)
@@ -152,8 +147,6 @@ def naive_run(problem, algorithm: str, schedule_spec, options) -> dict:
             y = x + alpha * step
         out["final_x_prev"], out["final_x"] = x_prev, x
         x_prev, h_prev = x, h_x
-        if stop:
-            break
     cols = list(zip(*rows)) if rows else [()] * len(names)
     out["n"] = np.array(cols[0], dtype=np.int64)
     for name, col in zip(names[1:], cols[1:]):

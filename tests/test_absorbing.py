@@ -6,15 +6,15 @@ and those columns being computed a block of queued rows at a time. Each
 case runs the solver and the naive reference loop from helpers.py, which
 applies T and h and computes every column at every iteration, one row at a
 time, and requires the two to agree bit for bit: every recorded column,
-the first iterate, the end points and the stop/truncation markers. Every
+the first iterate, the end points and the truncation marker. Every
 schedule may fast-forward: a run absorbs once an iteration hands the next
 one its own inputs and the taus still to come cannot move y. The
 adversarial cases are the ones a byte test of x and y alone would get
 wrong: MFISTA's rejected candidates that leave y in place for a while
 under a varying tau, or across the last move of tau, and a custom list
-that dips below 1 after the fixed point. Sparse record cadences, stops
-and truncations that fall between recorded rows, and the reference oracle
-check the gating; run lengths, stops and absorptions around a block
+that dips below 1 after the fixed point. Sparse record cadences,
+truncations that fall between recorded rows, and the reference oracle
+check the gating; run lengths, truncations and absorptions around a block
 boundary check the block computation.
 """
 
@@ -98,7 +98,6 @@ def assert_matches_naive(trace, ref):
         if got is not None:
             np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
     assert _bits(np.float64(trace.h1)) == _bits(np.float64(ref["h1"]))
-    assert trace.stopped_at == ref["stopped_at"]
     assert trace.truncated_at == ref["truncated_at"]
 
 
@@ -168,7 +167,10 @@ def test_run_from_exact_fixed_point_absorbs_at_once():
     lasso = build_problem({"name": "lasso", "dim": 10, "seed": 1})
     quad = build_problem(PROBLEMS["quad2"][0])
     fixed = ista_run(lasso, SolverOptions(max_iters=9_000))
-    assert fixed.absorbed_at is not None
+    # the first exactly zero step comes before absorption: a step of 0.0
+    # alone does not make the iteration repeat
+    first_zero = int(fixed.n[np.flatnonzero(fixed.step_norm == 0.0)[0]])
+    assert fixed.absorbed_at is not None and first_zero < fixed.absorbed_at
     starts = ((lasso, fixed.final_x, 3), (quad, quad.known_argmin, 2))
     for problem, x_star, absorbed_at in starts:
         for case in sorted(CASES):
@@ -191,17 +193,6 @@ def test_oracle_stops_on_its_certificate_and_never_past_its_budget(monkeypatch):
     with pytest.raises(OracleUnreliable, match="no certificate within oracle_budget = 700"):
         reference_min(problem, budget=700)
     assert len(calls) == 700
-
-
-def test_step_norm_stop_fires_at_first_zero_step_before_absorption():
-    problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
-    full = run_algorithm(problem, "ista", None, SolverOptions(max_iters=9_000))
-    first_zero = int(full.n[np.flatnonzero(full.step_norm == 0.0)[0]])
-    assert full.absorbed_at is not None and first_zero < full.absorbed_at
-    # the smallest positive float: the stop fires only on an exactly zero step
-    stopped = run_algorithm(problem, "ista", None, SolverOptions(max_iters=9_000, stop_step_norm=5e-324))
-    assert stopped.stopped_at == first_zero
-    assert stopped.absorbed_at is None
 
 
 def test_momentum_runs_absorb_and_custom_lists_still_run_dry(monkeypatch):
@@ -414,30 +405,8 @@ def test_mfista_y_kept_by_a_last_tau_move_is_not_absorbed(monkeypatch):
 
 
 def _between_rows(n: int, options) -> bool:
-    """True when iteration n writes no row except for the stop itself."""
+    """True when iteration n is not one that writes a row."""
     return n != 1 and n != options.max_iters and n % options.record_every != 0
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_step_norm_stop_between_recorded_rows_matches_naive(case):
-    algorithm, schedule = CASES[case]
-    problem = build_problem(PROBLEMS["lasso-d10-s1"][0])
-    options = SolverOptions(max_iters=9_000, record_every=1000, stop_step_norm=1e-6)
-    trace = run_algorithm(problem, algorithm, schedule, options)
-    assert trace.stopped_at is not None and _between_rows(trace.stopped_at, options)
-    assert trace.n[-1] == trace.stopped_at
-    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_h_gap_stop_between_recorded_rows_matches_naive(case):
-    algorithm, schedule = CASES[case]
-    problem = build_problem(PROBLEMS["quad2"][0])
-    options = SolverOptions(max_iters=600, record_every=100, stop_h_gap=1e-9,
-                            anchor=problem.known_argmin)
-    trace = run_algorithm(problem, algorithm, schedule, options)
-    assert trace.stopped_at is not None and _between_rows(trace.stopped_at, options)
-    assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
 
 
 @pytest.mark.parametrize("algorithm", ["fista", "mfista"])
@@ -481,9 +450,6 @@ def test_reference_min_matches_restarted_naive_loop(problem_name, budget):
 
 
 B = solvers._BLOCK
-# h decreases strictly over the first 4 * B + 8 iterations of every case,
-# so a stop_h_gap can be placed on any one of them
-SLOW_QUAD = {"name": "quadratic", "diag": [1e-4, 1.0], "b": [1.0, 1.0]}
 
 
 @pytest.mark.parametrize("rows", [B - 1, B, B + 1, 2 * B + 1])
@@ -499,24 +465,26 @@ def test_block_boundaries_match_naive(rows, case, anchored):
     assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
 
 
-@pytest.mark.parametrize("stop_at", [B, B + 1], ids=["last-of-block", "first-of-block"])
+@pytest.mark.parametrize("rows", [B, B + 1], ids=["last-of-block", "first-of-block"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_stop_on_block_edge_matches_naive(stop_at, case):
+def test_stop_on_block_edge_matches_naive(rows, case):
+    # a run that stops early, by truncation at iteration rows + 1, with its
+    # last recorded row on the last slot of a block (flushed inside the
+    # loop) or on the first slot of the next (flushed after it)
     algorithm, schedule = CASES[case]
-    problem = build_problem(SLOW_QUAD)
+    problem = build_problem({"name": "affine-descent"})
     full = run_algorithm(problem, algorithm, schedule, SolverOptions(max_iters=4 * B + 8))
-    gap = full.h - problem.known_min
-    assert np.all(np.diff(gap) < 0.0)
-    # the first gap below this threshold is the one at iteration stop_at
-    threshold = float(np.nextafter(gap[stop_at - 1], math.inf))
-    options = SolverOptions(max_iters=4 * B + 8, stop_h_gap=threshold, anchor=problem.known_argmin)
+    assert full.n.size == 4 * B + 8 and np.all(np.diff(full.x_norm) > 0.0)
+    # the first x_norm above this threshold is the one at iteration rows + 1
+    threshold = float(np.nextafter(full.x_norm[rows], -math.inf))
+    options = SolverOptions(max_iters=4 * B + 8, divergence_threshold=threshold, anchor=np.array([3.0]))
     trace = run_algorithm(problem, algorithm, schedule, options)
-    assert trace.stopped_at == stop_at and trace.n.size == stop_at
+    assert trace.truncated_at == rows + 1 and trace.n.size == rows
     assert_matches_naive(trace, naive_run(problem, algorithm, schedule, options))
 
 
 def _rows_before(n: int, every: int) -> int:
-    """Rows recorded before iteration n (no stop)."""
+    """Rows recorded before iteration n."""
     return n - 1 if every == 1 else 1 + (n - 1) // every
 
 

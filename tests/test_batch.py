@@ -30,7 +30,7 @@ from apglab.problem import NonsmoothTerm, evaluate_h, forward_backward_step
 from helpers import naive_run
 
 COLUMNS = ("n", "tau", "alpha", "h", "sigma", "step_norm", "x_norm", "key_residual", "lyapunov", "fejer_dist")
-MARKERS = ("diverging", "truncated_at", "stopped_at", "absorbed_at", "anchored", "schedule_spec", "max_iters")
+MARKERS = ("diverging", "truncated_at", "absorbed_at", "anchored", "schedule_spec", "max_iters")
 
 
 def _bits(a):
@@ -142,14 +142,15 @@ CONST2 = {"kind": "constant", "tau": 2.0}
 
 def _quad2_batch(problem):
     """8 runs on quad2: every algorithm, constant, classical and Attouch
-    schedules, record_every 1 and 7, anchored and not, a stop_h_gap stop,
-    an absorbing run, a truncation at a divergence threshold, and one
-    longest run, so that the batch shrinks to one."""
+    schedules, record_every 1 and 7, anchored and not, absorbing runs, a
+    truncation at a divergence threshold, runs that end at their own
+    max_iters before they absorb, and one longest run; no two end at the
+    same iteration, so the batch shrinks one run at a time to one."""
     anchor = problem.known_argmin
     return [
         ("ista", None, SolverOptions(max_iters=600)),
         ("fista", CONST2, SolverOptions(max_iters=400, record_every=7, anchor=anchor)),
-        ("fista", CLASSICAL, SolverOptions(max_iters=600, anchor=anchor, stop_h_gap=1e-9)),
+        ("fista", CLASSICAL, SolverOptions(max_iters=36, anchor=anchor)),
         ("fista", {"kind": "attouch_shifted", "rho": 3.0}, SolverOptions(max_iters=300, record_every=7)),
         ("mfista", CLASSICAL, SolverOptions(max_iters=1000, anchor=anchor)),
         ("mfista", {"kind": "attouch_shifted", "rho": 2.0},
@@ -210,6 +211,8 @@ def test_batch_matches_runs_alone_and_naive_loop(name, monkeypatch):
     # one stacked call per iteration while two or more runs are live
     ks = [s[0] for s in batch_shapes if len(s) == 2]
     assert ks[0] == len(runs) and ks == sorted(ks, reverse=True) and min(ks) == 2
+    # no two runs end at the same iteration: the batch loses one run at a time
+    assert set(ks) == set(range(2, len(runs) + 1))
     assert batch_shapes[-1] == (problem.dim,)
 
     for i, batched in ended:
@@ -222,11 +225,12 @@ def test_batch_matches_runs_alone_and_naive_loop(name, monkeypatch):
                 _same(getattr(batched, field), other[field], f"run {i} {field} vs {label}")
         for marker in MARKERS:
             assert getattr(batched, marker) == getattr(alone_trace, marker), (i, marker)
-        assert (batched.stopped_at, batched.truncated_at) == (ref["stopped_at"], ref["truncated_at"])
+        assert batched.truncated_at == ref["truncated_at"]
 
     traces = [trace for _, trace in sorted(ended, key=lambda pair: pair[0])]
     if name == "quad2":
-        assert traces[0].absorbed_at is not None and traces[2].stopped_at is not None
+        assert traces[0].absorbed_at is not None
+        assert traces[2].n[-1] == runs[2][2].max_iters and traces[2].absorbed_at is None
         assert traces[6].diverging
     else:
         assert [t.diverging for t in traces] == [True, True, True, False]

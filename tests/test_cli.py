@@ -263,14 +263,14 @@ def test_run_reaches_each_not_applicable_branch(not_applicable_reports, name, ch
     ("liminf_threshold", NAN, "run 'q': liminf_threshold must be a finite number"),
     ("liminf_threshold", True, "run 'q': liminf_threshold must be a finite number"),
     ("liminf_threshold", "-1000", "run 'q': liminf_threshold must be a finite number"),
-    ("stop_step_norm", True, "run 'q': stop_step_norm must be a finite number"),
+    ("stop_step_norm", True, "runs[0] has unknown keys: ['stop_step_norm']"),
     ("liminf_threshold", 10**400, "run 'q': liminf_threshold must be a finite number"),
     ("max_iters", 0, "run 'q': max_iters must be an integer >= 1"),
     ("max_iters", 10**400, "run 'q': max_iters must be an integer >= 1"),
     ("max_iters", 2**53 + 1, "run 'q': max_iters must be an integer >= 1"),
     ("record_every", 2**53 + 1, "run 'q': record_every must be an integer >= 1"),
     ("oracle_budget", 10**400, "run 'q': oracle_budget must be an integer >= 1"),
-    ("stop_h_gap", -1.0, "run 'q': stop_h_gap must be positive"),
+    ("stop_h_gap", -1.0, "runs[0] has unknown keys: ['stop_h_gap']"),
     ("shedule", {}, "runs[0] has unknown keys: ['shedule']"),
     ("name", "a b", "runs[0]: name must match"),
     ("problem", "quadratic", "run 'q': problem must be an object"),
@@ -282,8 +282,9 @@ def test_run_reaches_each_not_applicable_branch(not_applicable_reports, name, ch
         "oracle_budget-overflow", "stop-negative", "unknown-key", "name-space", "problem-str", "schedule-str",
         "algorithm-int", "anchor-str"])
 def test_run_loose_number_exits_2(tmp_path, capsys, key, value, message):
-    # the first five used to run: float() took the strings and the bools, and
-    # a NaN threshold made running_min fail with "never fell below nan"
+    # the first four used to run: float() took the strings and the bools, and
+    # a NaN threshold made running_min fail with "never fell below nan"; a run
+    # has no early stop, so stop_step_norm and stop_h_gap are unknown keys
     cfg = write_config(tmp_path / "c.json", [dict(QUAD_RUN, **{key: value})])
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -382,7 +383,7 @@ def test_run_singular_quadratic_unbounded_below_has_no_reference(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["schedule", "record_every", "anchor", "oracle_budget", "liminf_threshold",
-                                 "stop_step_norm", "stop_h_gap", "divergence_threshold"])
+                                 "divergence_threshold"])
 def test_run_null_key_writes_the_bytes_of_an_omitted_one(tmp_path, key):
     omitted = {k: v for k, v in QUAD_RUN.items() if k != key}
     for out, run in (("omitted", omitted), ("null", dict(omitted, **{key: None}))):
@@ -485,7 +486,7 @@ def test_run_solves_each_distinct_oracle_once(tmp_path, monkeypatch):
 
 
 # 8 runs on one lasso, ending at different iterations: a batch shrinks as
-# they end, and absorbed, stopped and recorded-every-k runs take part
+# they end, and absorbed and recorded-every-k runs take part
 SHARED_LASSO_RUNS = [
     dict(LASSO_RUN, name=name, problem={"name": "lasso", "dim": 10, "seed": 4}, **keys)
     for name, keys in (
@@ -498,8 +499,7 @@ SHARED_LASSO_RUNS = [
         ("mfista-att2", {"algorithm": "mfista", "schedule": {"kind": "attouch_shifted", "rho": 2.0},
                          "max_iters": 1500, "record_every": 3}),
         ("fista-aujol", {"schedule": {"kind": "aujol_dossal", "a": 5.0, "d": 0.5}, "max_iters": 1000}),
-        ("fista-att3", {"schedule": {"kind": "attouch_shifted", "rho": 3.0}, "max_iters": 2000,
-                        "stop_step_norm": 1e-9}),
+        ("fista-att3", {"schedule": {"kind": "attouch_shifted", "rho": 3.0}, "max_iters": 2000}),
     )
 ]
 
@@ -660,7 +660,9 @@ def test_schedule_command_gates_a_custom_list_once(tmp_path, monkeypatch, capsys
     assert len(log.read_text().splitlines()) == 1
 
 
-def test_apg_seed_overrides_config_seed(tmp_path, monkeypatch):
+def test_apg_seed_changes_no_output_byte(tmp_path, monkeypatch):
+    # a problem's seed comes from its config alone: APG_SEED, an integer or
+    # not, leaves every CSV, sidecar and report as it is
     run = {
         "name": "l",
         "problem": {"name": "lasso", "dim": 4, "seed": 1},
@@ -670,15 +672,15 @@ def test_apg_seed_overrides_config_seed(tmp_path, monkeypatch):
     }
     cfg = write_config(tmp_path / "c.json", [run])
     monkeypatch.delenv("APG_SEED", raising=False)
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("APG_SEED", "123")
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    base = (tmp_path / "a" / "l.csv").read_bytes()
-    fuzzed = (tmp_path / "b" / "l.csv").read_bytes()
-    assert base != fuzzed
-
-    monkeypatch.setenv("APG_SEED", "not-a-number")
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "unset")]) == 0
+    names = sorted(path.name for path in (tmp_path / "unset").iterdir())
+    assert names == ["l.csv", "l.report.json", "l.trace.npy"]
+    for value in ("123", "not-a-number"):
+        monkeypatch.setenv("APG_SEED", value)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / value)]) == 0
+        assert sorted(path.name for path in (tmp_path / value).iterdir()) == names
+        for name in names:
+            assert (tmp_path / value / name).read_bytes() == (tmp_path / "unset" / name).read_bytes(), (value, name)
 
 
 def test_schedule_table_shows_golden_ratio_second_step(capsys):

@@ -229,7 +229,7 @@ def test_build_report_shape_and_json():
     trace = fista_run(p, {"kind": "classical"},
                       SolverOptions(max_iters=300, anchor=p.known_argmin))
     report = build_report(trace, p, resolve_reference(p), run_name="unit")
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert set(report["reference"]) == {"min_h", "error_bar", "source", "inf_h", "lower", "upper", "iterations",
                                         "certificate"}
     assert report["run"]["name"] == "unit"

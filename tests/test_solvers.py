@@ -105,26 +105,6 @@ def test_tau_and_alpha_columns_match_schedule_prefix():
     assert np.array_equal(trace.alpha, alphas(taus))
 
 
-def test_stop_step_norm_halts_early():
-    p = build_problem({"name": "quadratic", "diag": [1.0, 4.0], "b": [3.0, 3.0],
-                       "g": {"kind": "box", "lo": 0.0, "hi": 1.0}})
-    trace = ista_run(p, SolverOptions(max_iters=5000, stop_step_norm=1e-12))
-    assert trace.stopped_at is not None
-    assert trace.stopped_at < 5000
-    assert trace.n[-1] == trace.stopped_at
-    assert trace.step_norm[-1] < 1e-12
-
-
-def test_stop_h_gap_needs_known_min():
-    quad = build_problem(QUAD2)
-    trace = fista_run(quad, {"kind": "classical"}, SolverOptions(max_iters=5000, stop_h_gap=1e-9))
-    assert trace.stopped_at is not None
-    assert trace.h[-1] - quad.known_min < 1e-9
-    lasso = build_problem(LASSO)
-    with pytest.raises(ParameterError):
-        fista_run(lasso, {"kind": "classical"}, SolverOptions(max_iters=10, stop_h_gap=1e-9))
-
-
 L1_QUAD = {"name": "quadratic", "diag": [1.0, 4.0], "b": [3.0, 3.0], "g": {"kind": "l1", "weight": 0.5}}
 
 
@@ -133,18 +113,14 @@ L1_QUAD = {"name": "quadratic", "diag": [1.0, 4.0], "b": [3.0, 3.0], "g": {"kind
     ("divergence_threshold", 0.0),
     ("divergence_threshold", math.nan),
     ("divergence_threshold", math.inf),
-    ("stop_step_norm", math.nan),
-    ("stop_step_norm", -1.0),
-    ("stop_step_norm", True),
-    ("stop_h_gap", -1.0),
 ])
 def test_check_run_rejects_out_of_range_thresholds(key, value):
     # these used to run: a negative divergence_threshold truncated a
-    # convergent run at n = 1, and a NaN or negative stop never fired
+    # convergent run at n = 1
     problem = build_problem(L1_QUAD)
     options = SolverOptions(max_iters=50, **{key: value})
     with pytest.raises(ParameterError, match=key):
-        check_run(problem, "fista", None, options)
+        check_run("fista", None, options)
     with pytest.raises(ParameterError, match=key):
         run_algorithm(problem, "fista", None, options)
 
@@ -156,7 +132,7 @@ def test_check_run_bounds_counts_at_2_to_the_53(key, value):
     # pass here and raise OverflowError when the row buffer was sized
     options = SolverOptions(**{"max_iters": 50, key: value})
     with pytest.raises(ParameterError, match=f"{key} must be an integer >= 1"):
-        check_run(build_problem(L1_QUAD), "fista", None, options)
+        check_run("fista", None, options)
 
 
 def test_divergence_truncates_before_recording_the_blowup():
